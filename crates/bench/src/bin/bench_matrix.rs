@@ -43,7 +43,7 @@ use std::time::Instant;
 
 use prem_gpusim::CorunnerProfile;
 use prem_harness::{
-    run_cell, write_artifact, ExecFlags, MatrixScenario, MatrixSpec, PlanExecutor, RunSource,
+    run_cell_with, write_artifact, ExecFlags, MatrixScenario, MatrixSpec, PlanExecutor, RunSource,
     RunStore, EXEC_FLAGS_HELP,
 };
 use prem_kernels::{suite_small, Bicg};
@@ -104,6 +104,10 @@ fn main() -> ExitCode {
 
     let mut cell_lines = Vec::with_capacity(cells.len());
     let mut total_ms = 0.0f64;
+    // One executor serves every cell, so scenario siblings share the
+    // profile memo; cells never share a run, so nothing is a cache hit and
+    // every cell entry times live execution.
+    let cell_executor = PlanExecutor::new();
     for cell in &cells {
         let key = format!(
             "{}({})|{}|{}|{}#{}",
@@ -115,11 +119,17 @@ fn main() -> ExitCode {
             cell.seed_index,
         );
         let t0 = Instant::now();
-        let _ = run_cell(&spec, cell);
+        let _ = run_cell_with(&spec, cell, &cell_executor);
         let ms = t0.elapsed().as_secs_f64() * 1000.0;
         total_ms += ms;
         cell_lines.push(cell_json(&key, ms));
     }
+    let cell_summary = cell_executor.summary();
+    assert_eq!(
+        (cell_summary.hits, cell_summary.executed),
+        (0, 2 * cells.len()),
+        "every quick cell must execute both of its runs live"
+    );
 
     // Trace pipeline: capture once, then exercise every hot path the
     // replay engine rests on. Timed sequentially like the cells, so the

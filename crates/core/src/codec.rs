@@ -46,8 +46,8 @@ pub fn bad_data(msg: &str) -> io::Error {
 }
 
 /// Writes `v` as an LEB128-style varint (7 data bits per byte, high bit =
-/// continuation) — the integer encoding shared by the run-output codec,
-/// the persistent store's container format and the wire request codec.
+/// continuation) — the integer encoding shared by the run-output codec
+/// and the persistent store's container format.
 pub fn write_varint<W: Write>(w: &mut W, mut v: u64) -> io::Result<()> {
     loop {
         let byte = (v & 0x7f) as u8;
@@ -327,8 +327,10 @@ mod tests {
             7,
             Scenario::Interference,
             crate::NoiseModel::tx1(),
+            None,
         )
         .expect("sample run")
+        .0
     }
 
     #[test]

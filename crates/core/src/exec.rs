@@ -197,7 +197,9 @@ pub struct BaselineRun {
     pub llc: CacheStats,
 }
 
-/// Executes `intervals` under PREM on `platform`.
+/// Executes `intervals` under PREM on `platform`: the
+/// [`run_prem_traced_reporting_profile`] engine with no memoized profile
+/// and no instrumentation.
 ///
 /// The platform is cold-reset and reseeded before both the profiling pass
 /// and the timed run, so results are deterministic in `cfg.seed`.
@@ -212,23 +214,8 @@ pub fn run_prem(
     cfg: &PremConfig,
     scenario: Scenario,
 ) -> Result<PremRun, ExecError> {
-    run_prem_traced(platform, intervals, cfg, scenario, &mut NullSink)
-}
-
-/// [`run_prem`] with an optional memoized profiling result — see
-/// [`run_prem_traced_with_profile`] for the memoization contract.
-///
-/// # Errors
-///
-/// [`ExecError::Spm`] exactly as for [`run_prem`].
-pub fn run_prem_with_profile(
-    platform: &mut Platform,
-    intervals: &[IntervalSpec],
-    cfg: &PremConfig,
-    scenario: Scenario,
-    profiled: Option<(f64, f64)>,
-) -> Result<PremRun, ExecError> {
-    run_prem_traced_with_profile(platform, intervals, cfg, scenario, profiled, &mut NullSink)
+    run_prem_traced_reporting_profile(platform, intervals, cfg, scenario, None, &mut NullSink)
+        .map(|(run, _)| run)
 }
 
 /// [`run_prem`] with cache-event instrumentation: the **timed run** (not
@@ -254,10 +241,15 @@ pub fn run_prem_traced<S: TraceSink>(
     scenario: Scenario,
     sink: &mut S,
 ) -> Result<PremRun, ExecError> {
-    run_prem_traced_with_profile(platform, intervals, cfg, scenario, None, sink)
+    run_prem_traced_reporting_profile(platform, intervals, cfg, scenario, None, sink)
+        .map(|(run, _)| run)
 }
 
-/// [`run_prem_traced`] with an optional memoized profiling result.
+/// The PREM engine: profiles (or takes a memoized profile), budgets and
+/// runs the timed schedule, reporting to `sink`, and returns the run
+/// together with the `(m_wcet, c_wcet)` pair its budgets derive from —
+/// exactly what [`profile_phases`] reports, suitable for the plan layer's
+/// profile memo.
 ///
 /// `profiled` carries the `(m_wcet, c_wcet)` a previous
 /// [`profile_phases`] call returned for the *same* platform config,
@@ -267,26 +259,7 @@ pub fn run_prem_traced<S: TraceSink>(
 /// passing the memoized pair skips the pass entirely and the timed run —
 /// which cold-resets again before executing — is bit-identical to the
 /// unmemoized call. Passing stale values from any other request computes
-/// garbage budgets; the plan layer's `ProfileKey` is the guarded way in.
-///
-/// # Errors
-///
-/// [`ExecError::Spm`] exactly as for [`run_prem`].
-pub fn run_prem_traced_with_profile<S: TraceSink>(
-    platform: &mut Platform,
-    intervals: &[IntervalSpec],
-    cfg: &PremConfig,
-    scenario: Scenario,
-    profiled: Option<(f64, f64)>,
-    sink: &mut S,
-) -> Result<PremRun, ExecError> {
-    run_prem_traced_reporting_profile(platform, intervals, cfg, scenario, profiled, sink)
-        .map(|(run, _)| run)
-}
-
-/// [`run_prem_traced_with_profile`], additionally returning the
-/// `(m_wcet, c_wcet)` pair the run's budgets derive from — exactly what
-/// [`profile_phases`] reports, suitable for the plan layer's profile memo.
+/// garbage budgets; the plan layer's profile key is the guarded way in.
 ///
 /// When `profiled` is `None` and the scenario's co-runner mix has constant
 /// contention and no cache polluters, the separate profiling pass is
@@ -633,7 +606,7 @@ fn baseline_windows(
 /// cold-resets and reseeds the platform on entry and measures in
 /// isolation, the paper's profiling discipline. That determinism is what
 /// makes the result memoizable: feed it back through
-/// [`run_prem_traced_with_profile`] for any scenario sibling of the
+/// [`run_prem_traced_reporting_profile`] for any scenario sibling of the
 /// profiled request and the output is bit-identical to profiling inline.
 ///
 /// # Errors

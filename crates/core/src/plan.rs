@@ -6,7 +6,8 @@
 //! three execution modes every consumer uses — tamed LLC-PREM, SPM-PREM
 //! and the unprotected baseline — [`RunWork::prem_config`] derives the one
 //! canonical [`PremConfig`] per mode, and [`execute_run`] runs a resolved
-//! request on a freshly built platform.
+//! request on a freshly built platform (its capturing counterpart is
+//! [`crate::whatif::execute_run_captured`]).
 //!
 //! Keeping the mode → configuration mapping here (rather than in each
 //! consumer) is what makes the run-plan cache sound: two layers that
@@ -15,7 +16,7 @@
 
 use prem_gpusim::{ExecError, PlatformConfig, Scenario};
 
-use crate::exec::{run_baseline, NoiseModel, PremConfig};
+use crate::exec::{run_baseline, run_prem_traced_reporting_profile, NoiseModel, PremConfig};
 use crate::interval::IntervalSpec;
 use crate::local_store::{LocalStore, PrefetchStrategy};
 use crate::{BaselineRun, PremRun};
@@ -105,8 +106,16 @@ impl RunOutput {
 }
 
 /// Executes one fully-resolved run request: builds `platform_cfg`, derives
-/// the mode's canonical [`PremConfig`] and dispatches to [`run_prem`] or
-/// [`run_baseline`].
+/// the mode's canonical [`PremConfig`] and dispatches to the PREM engine
+/// ([`run_prem_traced_reporting_profile`]) or [`run_baseline`].
+///
+/// `profiled` is an optional memoized profiling result from
+/// [`profile_run`]: `Some` skips the profiling pass, `None` profiles
+/// inline (fused into the timed run whenever the mix allows); the output
+/// is bit-identical either way. Baseline work ignores it. Alongside the
+/// output the bridge returns the `(m_wcet, c_wcet)` the run's budgets
+/// derive from (`None` for baseline work) — what the plan layer backfills
+/// its profile memo with.
 ///
 /// `platform_cfg` must already carry every per-request override (LLC
 /// policy, LLC seed, co-runner mix) — resolution is the plan layer's job;
@@ -116,6 +125,8 @@ impl RunOutput {
 ///
 /// Exactly the [`run_prem`] / [`run_baseline`] error conditions
 /// ([`ExecError::Spm`] for over-capacity SPM footprints).
+///
+/// [`run_prem`]: crate::run_prem
 pub fn execute_run(
     platform_cfg: &PlatformConfig,
     intervals: &[IntervalSpec],
@@ -123,8 +134,22 @@ pub fn execute_run(
     seed: u64,
     scenario: Scenario,
     noise: NoiseModel,
-) -> Result<RunOutput, ExecError> {
-    execute_run_profiled(platform_cfg, intervals, work, seed, scenario, noise, None)
+    profiled: Option<(f64, f64)>,
+) -> Result<(RunOutput, Option<(f64, f64)>), ExecError> {
+    let mut platform = platform_cfg.build();
+    match work.prem_config(seed, noise) {
+        Some(cfg) => run_prem_traced_reporting_profile(
+            &mut platform,
+            intervals,
+            &cfg,
+            scenario,
+            profiled,
+            &mut prem_memsim::NullSink,
+        )
+        .map(|(run, wcets)| (RunOutput::Prem(run), Some(wcets))),
+        None => run_baseline(&mut platform, intervals, seed, scenario, noise)
+            .map(|run| (RunOutput::Baseline(run), None)),
+    }
 }
 
 /// Runs only the isolated profiling pass of a request, returning its
@@ -134,12 +159,12 @@ pub fn execute_run(
 /// profiles). The result is valid for *every* scenario sibling of the
 /// request (profiling is scenario-independent — see
 /// [`crate::exec::profile_phases`]); feed it back through
-/// [`execute_run_profiled`] under any scenario and the output is
-/// bit-identical to [`execute_run`].
+/// [`execute_run`] under any scenario and the output is bit-identical to
+/// profiling inline.
 ///
 /// # Errors
 ///
-/// Exactly the [`run_prem`] error conditions.
+/// Exactly the [`execute_run`] error conditions.
 pub fn profile_run(
     platform_cfg: &PlatformConfig,
     intervals: &[IntervalSpec],
@@ -153,68 +178,6 @@ pub fn profile_run(
             crate::exec::profile_phases(&mut platform, intervals, &cfg).map(Some)
         }
         None => Ok(None),
-    }
-}
-
-/// [`execute_run`] with an optional memoized profiling result from
-/// [`profile_run`] — `Some` skips the profiling pass, `None` profiles
-/// inline. Baseline work ignores the hint.
-///
-/// # Errors
-///
-/// Exactly the [`execute_run`] error conditions.
-pub fn execute_run_profiled(
-    platform_cfg: &PlatformConfig,
-    intervals: &[IntervalSpec],
-    work: RunWork,
-    seed: u64,
-    scenario: Scenario,
-    noise: NoiseModel,
-    profiled: Option<(f64, f64)>,
-) -> Result<RunOutput, ExecError> {
-    execute_run_reporting_profile(
-        platform_cfg,
-        intervals,
-        work,
-        seed,
-        scenario,
-        noise,
-        profiled,
-    )
-    .map(|(out, _)| out)
-}
-
-/// [`execute_run_profiled`], additionally returning the `(m_wcet, c_wcet)`
-/// the run's budgets derive from (`None` for baseline work) — what the
-/// plan layer backfills its profile memo with when the profiling pass was
-/// fused into the timed run instead of paid separately (see
-/// [`crate::exec::run_prem_traced_reporting_profile`]).
-///
-/// # Errors
-///
-/// Exactly the [`execute_run`] error conditions.
-pub fn execute_run_reporting_profile(
-    platform_cfg: &PlatformConfig,
-    intervals: &[IntervalSpec],
-    work: RunWork,
-    seed: u64,
-    scenario: Scenario,
-    noise: NoiseModel,
-    profiled: Option<(f64, f64)>,
-) -> Result<(RunOutput, Option<(f64, f64)>), ExecError> {
-    let mut platform = platform_cfg.build();
-    match work.prem_config(seed, noise) {
-        Some(cfg) => crate::exec::run_prem_traced_reporting_profile(
-            &mut platform,
-            intervals,
-            &cfg,
-            scenario,
-            profiled,
-            &mut prem_memsim::NullSink,
-        )
-        .map(|(run, wcets)| (RunOutput::Prem(run), Some(wcets))),
-        None => run_baseline(&mut platform, intervals, seed, scenario, noise)
-            .map(|run| (RunOutput::Baseline(run), None)),
     }
 }
 
@@ -272,8 +235,10 @@ mod tests {
             7,
             Scenario::Isolation,
             NoiseModel::tx1(),
+            None,
         )
         .unwrap()
+        .0
         .prem();
         let mut platform = cfg.build();
         let direct = run_prem(
@@ -294,8 +259,10 @@ mod tests {
             7,
             Scenario::Isolation,
             NoiseModel::off(),
+            None,
         )
         .unwrap()
+        .0
         .baseline();
         let mut platform = cfg.build();
         let direct = run_baseline(
@@ -320,8 +287,10 @@ mod tests {
             1,
             Scenario::Isolation,
             NoiseModel::off(),
+            None,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         let _ = out.baseline();
     }
 }

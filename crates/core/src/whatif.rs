@@ -167,12 +167,21 @@ pub struct RunCapture {
     ledger_cont: Contention,
 }
 
+/// Output of [`execute_run_captured`]: the representative's output, the
+/// `(m_wcet, c_wcet)` its budgets derive from (`None` for baseline work),
+/// and the capture its siblings replay from.
+pub type CapturedRun = (RunOutput, Option<(f64, f64)>, RunCapture);
+
 /// [`crate::execute_run`] with what-if capture: executes the run live and
 /// additionally returns a [`RunCapture`] from which every LLC policy/seed
 /// sibling's output can be derived by replay.
 ///
-/// The returned output is bit-identical to what [`crate::execute_run`]
-/// returns for the same request — capture is an observer.
+/// `profiled` and the reported `(m_wcet, c_wcet)` behave exactly as in
+/// [`crate::execute_run`] (replay-eligible mixes are always
+/// fusion-eligible: both require constant contention and no polluters),
+/// and the returned output is bit-identical to what
+/// [`crate::execute_run`] returns for the same request — capture is an
+/// observer of the timed run, which is the same either way.
 ///
 /// # Panics
 ///
@@ -190,76 +199,8 @@ pub fn execute_run_captured(
     seed: u64,
     scenario: Scenario,
     noise: NoiseModel,
-) -> Result<(RunOutput, RunCapture), ExecError> {
-    execute_run_captured_profiled(platform_cfg, intervals, work, seed, scenario, noise, None)
-}
-
-/// [`execute_run_captured`] with an optional memoized profiling result
-/// from [`crate::profile_run`] — `Some` skips the representative's
-/// profiling pass exactly as [`crate::execute_run_profiled`] does.
-/// Capture and replay are unaffected: the capture records the timed run,
-/// which is bit-identical either way.
-///
-/// # Panics
-///
-/// Panics when the request is not [`replay_eligible`], as for
-/// [`execute_run_captured`].
-///
-/// # Errors
-///
-/// Exactly the [`crate::execute_run`] error conditions.
-pub fn execute_run_captured_profiled(
-    platform_cfg: &PlatformConfig,
-    intervals: &[IntervalSpec],
-    work: RunWork,
-    seed: u64,
-    scenario: Scenario,
-    noise: NoiseModel,
     profiled: Option<(f64, f64)>,
-) -> Result<(RunOutput, RunCapture), ExecError> {
-    execute_run_captured_reporting_profile(
-        platform_cfg,
-        intervals,
-        work,
-        seed,
-        scenario,
-        noise,
-        profiled,
-    )
-    .map(|(out, _, capture)| (out, capture))
-}
-
-/// Output of [`execute_run_captured_reporting_profile`]: the
-/// representative's output, the `(m_wcet, c_wcet)` its budgets derive
-/// from (`None` for baseline work), and the capture its siblings replay
-/// from.
-pub type CapturedReportedRun = (RunOutput, Option<(f64, f64)>, RunCapture);
-
-/// [`execute_run_captured_profiled`], additionally returning the
-/// `(m_wcet, c_wcet)` the representative's budgets derive from (`None`
-/// for baseline work, which never profiles) — what the
-/// plan layer backfills its profile memo with when the profiling pass is
-/// fused into the representative's timed run (replay-eligible mixes are
-/// always fusion-eligible: both require constant contention and no
-/// polluters).
-///
-/// # Panics
-///
-/// Panics when the request is not [`replay_eligible`], as for
-/// [`execute_run_captured`].
-///
-/// # Errors
-///
-/// Exactly the [`crate::execute_run`] error conditions.
-pub fn execute_run_captured_reporting_profile(
-    platform_cfg: &PlatformConfig,
-    intervals: &[IntervalSpec],
-    work: RunWork,
-    seed: u64,
-    scenario: Scenario,
-    noise: NoiseModel,
-    profiled: Option<(f64, f64)>,
-) -> Result<CapturedReportedRun, ExecError> {
+) -> Result<CapturedRun, ExecError> {
     assert!(
         replay_eligible(platform_cfg, work, scenario),
         "execute_run_captured: request is not replay-eligible"
@@ -626,12 +567,16 @@ mod tests {
         let cfg = small_platform(Policy::nvidia_like(4), 11);
         let ivs = toy_intervals();
         for work in [RunWork::PremLlc { r: 4 }, RunWork::Baseline] {
-            let live =
-                execute_run(&cfg, &ivs, work, 11, Scenario::Isolation, NoiseModel::tx1()).unwrap();
-            let (captured, _) =
-                execute_run_captured(&cfg, &ivs, work, 11, Scenario::Isolation, NoiseModel::tx1())
+            let noise = NoiseModel::tx1();
+            let live = execute_run(&cfg, &ivs, work, 11, Scenario::Isolation, noise, None).unwrap();
+            let (captured, wcets, _) =
+                execute_run_captured(&cfg, &ivs, work, 11, Scenario::Isolation, noise, None)
                     .unwrap();
-            assert_eq!(live, captured, "{work:?}: capture perturbed the run");
+            assert_eq!(
+                live,
+                (captured, wcets),
+                "{work:?}: capture perturbed the run"
+            );
         }
     }
 
@@ -641,13 +586,28 @@ mod tests {
         for work in [RunWork::PremLlc { r: 4 }, RunWork::Baseline] {
             for scenario in [Scenario::Isolation, Scenario::Interference] {
                 let rep_cfg = small_platform(Policy::nvidia_like(4), 11);
-                let (_, capture) =
-                    execute_run_captured(&rep_cfg, &ivs, work, 11, scenario, NoiseModel::tx1())
-                        .unwrap();
+                let (_, _, capture) = execute_run_captured(
+                    &rep_cfg,
+                    &ivs,
+                    work,
+                    11,
+                    scenario,
+                    NoiseModel::tx1(),
+                    None,
+                )
+                .unwrap();
                 for (policy, seed) in sibling_axis() {
                     let sib_cfg = small_platform(policy, seed);
-                    let live = execute_run(&sib_cfg, &ivs, work, seed, scenario, NoiseModel::tx1())
-                        .unwrap();
+                    let (live, _) = execute_run(
+                        &sib_cfg,
+                        &ivs,
+                        work,
+                        seed,
+                        scenario,
+                        NoiseModel::tx1(),
+                        None,
+                    )
+                    .unwrap();
                     let replayed = capture.replay_for(&sib_cfg, seed);
                     assert_eq!(
                         live, replayed,
@@ -695,13 +655,14 @@ mod tests {
     fn replay_for_rejects_foreign_configs() {
         let ivs = toy_intervals();
         let cfg = small_platform(Policy::Lru, 11);
-        let (_, capture) = execute_run_captured(
+        let (_, _, capture) = execute_run_captured(
             &cfg,
             &ivs,
             RunWork::PremLlc { r: 2 },
             11,
             Scenario::Isolation,
             NoiseModel::off(),
+            None,
         )
         .unwrap();
         // Same family axes, different geometry: must be refused.
@@ -721,6 +682,7 @@ mod tests {
             11,
             Scenario::Isolation,
             NoiseModel::off(),
+            None,
         );
     }
 }

@@ -337,29 +337,15 @@ impl<'a> SmExecutor<'a> {
     }
 
     /// Runs `stream` under the time-varying contention of `engine`,
-    /// starting at schedule time `start_cycle`.
+    /// starting at schedule time `start_cycle`, reporting to `sink` as
+    /// [`SmExecutor::run_traced`] does.
     ///
     /// Each op is charged the contention the co-runner mix generates at
     /// the op's own issue time (`start_cycle` + cycles consumed so far) —
     /// the event-driven path. Mixes without time-varying actors take the
     /// constant fast path, which is bit-identical to
-    /// [`SmExecutor::run`] with [`InterferenceEngine::static_contention`].
-    ///
-    /// # Errors
-    ///
-    /// [`ExecError::Spm`] exactly as for [`SmExecutor::run`].
-    pub fn run_under(
-        &mut self,
-        stream: &OpStream,
-        phase: Phase,
-        engine: &InterferenceEngine,
-        start_cycle: f64,
-    ) -> Result<RunOutcome, ExecError> {
-        self.run_under_traced(stream, phase, engine, start_cycle, &mut NullSink)
-    }
-
-    /// [`SmExecutor::run_under`] with instrumentation (see
-    /// [`SmExecutor::run_traced`]).
+    /// [`SmExecutor::run_traced`] with
+    /// [`InterferenceEngine::static_contention`].
     ///
     /// # Errors
     ///
@@ -551,7 +537,7 @@ mod tests {
         let engine = InterferenceEngine::new(&[CorunnerProfile::Membomb; 3], 1);
         let mut m1 = mem();
         let under = SmExecutor::new(&mut m1, &cost)
-            .run_under(&s, Phase::Unphased, &engine, 0.0)
+            .run_under_traced(&s, Phase::Unphased, &engine, 0.0, &mut NullSink)
             .unwrap();
         let mut m2 = mem();
         let plain = SmExecutor::new(&mut m2, &cost)
@@ -575,7 +561,7 @@ mod tests {
         );
         let mut m = mem();
         let mid = SmExecutor::new(&mut m, &cost)
-            .run_under(&s, Phase::Unphased, &bursty, 0.0)
+            .run_under_traced(&s, Phase::Unphased, &bursty, 0.0, &mut NullSink)
             .unwrap();
         let mut m_iso = mem();
         let iso = SmExecutor::new(&mut m_iso, &cost)

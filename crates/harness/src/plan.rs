@@ -55,8 +55,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use prem_core::{
-    execute_run_captured_profiled, execute_run_captured_reporting_profile, execute_run_profiled,
-    execute_run_reporting_profile, profile_run, NoiseModel, RunCapture, RunOutput, RunWork,
+    execute_run, execute_run_captured, profile_run, CapturedRun, NoiseModel, RunCapture, RunOutput,
+    RunWork,
 };
 use prem_gpusim::{PlatformConfig, Scenario};
 use prem_kernels::Kernel;
@@ -238,7 +238,17 @@ impl RunRequest<'_> {
     }
 
     /// Tiles the kernel, resolves the platform and executes the request
-    /// through the core bridge ([`execute_run`]).
+    /// through the core bridge ([`execute_run`]), returning the output
+    /// and the `(m_wcet, c_wcet)` the run's budgets derive from (`None`
+    /// for baseline work).
+    ///
+    /// `profiled` is an optional memoized profiling result from
+    /// [`RunRequest::profile`] (for this request or any request sharing
+    /// its [`RunRequest::profile_key`]): `Some` skips the profiling pass,
+    /// `None` self-profiles — fused into the timed run for
+    /// constant-contention unpolluted mixes, so a memo miss costs one
+    /// walk, not two. The output is bit-identical either way, and the
+    /// reported pair is what a profile memo is backfilled with.
     ///
     /// # Panics
     ///
@@ -246,20 +256,8 @@ impl RunRequest<'_> {
     /// strategy overflows the scratchpad — plan-built experiment
     /// configurations are expected to respect kernel and platform limits,
     /// exactly as the pre-plan runners did.
-    pub fn execute(&self) -> RunOutput {
-        self.execute_profiled(None)
-    }
-
-    /// [`RunRequest::execute`] with an optional memoized profiling result
-    /// from [`RunRequest::profile`] (for this request or any request
-    /// sharing its [`RunRequest::profile_key`]): `Some` skips the
-    /// profiling pass; the output is bit-identical either way.
-    ///
-    /// # Panics
-    ///
-    /// Exactly as [`RunRequest::execute`].
-    pub fn execute_profiled(&self, profiled: Option<(f64, f64)>) -> RunOutput {
-        execute_run_profiled(
+    pub fn run(&self, profiled: Option<(f64, f64)>) -> (RunOutput, Option<(f64, f64)>) {
+        execute_run(
             &self.resolved_platform(),
             &self.tiled_intervals(),
             self.work,
@@ -271,6 +269,25 @@ impl RunRequest<'_> {
         .unwrap_or_else(|e| panic!("{} ({}): {e}", self.kernel.name(), self.key()))
     }
 
+    /// The output of [`RunRequest::run`] without a memoized profile.
+    ///
+    /// # Panics
+    ///
+    /// Exactly as [`RunRequest::run`].
+    pub fn execute(&self) -> RunOutput {
+        self.run(None).0
+    }
+
+    /// The output of [`RunRequest::run`] with an optional memoized
+    /// profile.
+    ///
+    /// # Panics
+    ///
+    /// Exactly as [`RunRequest::run`].
+    pub fn execute_profiled(&self, profiled: Option<(f64, f64)>) -> RunOutput {
+        self.run(profiled).0
+    }
+
     /// Runs only the isolated profiling pass, returning its
     /// `(m_wcet, c_wcet)` — `None` for baseline work. The result is valid
     /// for every request sharing this request's
@@ -279,7 +296,7 @@ impl RunRequest<'_> {
     ///
     /// # Panics
     ///
-    /// Exactly as [`RunRequest::execute`].
+    /// Exactly as [`RunRequest::run`].
     pub fn profile(&self) -> Option<(f64, f64)> {
         profile_run(
             &self.resolved_platform(),
@@ -287,28 +304,6 @@ impl RunRequest<'_> {
             self.work,
             self.seed,
             self.noise,
-        )
-        .unwrap_or_else(|e| panic!("{} ({}): {e}", self.kernel.name(), self.key()))
-    }
-
-    /// [`RunRequest::execute`] additionally reporting the
-    /// `(m_wcet, c_wcet)` the run's budgets derive from (`None` for
-    /// baseline work) — the value to backfill a profile memo with. For
-    /// constant-contention unpolluted mixes the profiling pass is fused
-    /// into the timed run, so a memo miss costs one walk, not two.
-    ///
-    /// # Panics
-    ///
-    /// Exactly as [`RunRequest::execute`].
-    pub fn execute_reporting_profile(&self) -> (RunOutput, Option<(f64, f64)>) {
-        execute_run_reporting_profile(
-            &self.resolved_platform(),
-            &self.tiled_intervals(),
-            self.work,
-            self.seed,
-            self.resolved_scenario(),
-            self.noise,
-            None,
         )
         .unwrap_or_else(|e| panic!("{} ({}): {e}", self.kernel.name(), self.key()))
     }
@@ -327,7 +322,7 @@ impl RunRequest<'_> {
     /// (kernel identity, dims, T) while any holder keeps the stream alive,
     /// so a request's profiling pass, timed run, scenario siblings and
     /// pool neighbors all share one allocation. Panics on untileable
-    /// configurations exactly like [`RunRequest::execute`].
+    /// configurations exactly like [`RunRequest::run`].
     pub fn tiled_intervals(&self) -> Arc<[prem_core::IntervalSpec]> {
         prem_kernels::arena::shared()
             .get(self.kernel, self.t_bytes)
@@ -345,30 +340,18 @@ impl RunRequest<'_> {
         )
     }
 
-    /// [`RunRequest::execute`] with what-if capture on: returns the
-    /// (bit-identical) live output plus a [`RunCapture`] from which every
-    /// sibling request — same [`RunRequest::base_key`], different LLC
-    /// policy/seed — derives its output via [`RunRequest::replay_from`].
+    /// [`RunRequest::run`] with what-if capture on: additionally returns a
+    /// [`RunCapture`] from which every sibling request — same
+    /// [`RunRequest::base_key`], different LLC policy/seed — derives its
+    /// output via [`RunRequest::replay_from`]. Output and reported pair
+    /// are bit-identical to [`RunRequest::run`].
     ///
     /// # Panics
     ///
-    /// As [`RunRequest::execute`], plus when the request is not
+    /// As [`RunRequest::run`], plus when the request is not
     /// [`RunRequest::replay_eligible`].
-    pub fn execute_captured(&self) -> (RunOutput, RunCapture) {
-        self.execute_captured_profiled(None)
-    }
-
-    /// [`RunRequest::execute_captured`] with an optional memoized
-    /// profiling result, as [`RunRequest::execute_profiled`].
-    ///
-    /// # Panics
-    ///
-    /// Exactly as [`RunRequest::execute_captured`].
-    pub fn execute_captured_profiled(
-        &self,
-        profiled: Option<(f64, f64)>,
-    ) -> (RunOutput, RunCapture) {
-        execute_run_captured_profiled(
+    pub fn run_captured(&self, profiled: Option<(f64, f64)>) -> CapturedRun {
+        execute_run_captured(
             &self.resolved_platform(),
             &self.tiled_intervals(),
             self.work,
@@ -380,25 +363,17 @@ impl RunRequest<'_> {
         .unwrap_or_else(|e| panic!("{} ({}): {e}", self.kernel.name(), self.key()))
     }
 
-    /// [`RunRequest::execute_captured`] additionally reporting the
-    /// `(m_wcet, c_wcet)` pair, as [`RunRequest::execute_reporting_profile`].
+    /// The output and capture of [`RunRequest::run_captured`].
     ///
     /// # Panics
     ///
-    /// Exactly as [`RunRequest::execute_captured`].
-    pub fn execute_captured_reporting_profile(
+    /// Exactly as [`RunRequest::run_captured`].
+    pub fn execute_captured_profiled(
         &self,
-    ) -> (RunOutput, Option<(f64, f64)>, RunCapture) {
-        execute_run_captured_reporting_profile(
-            &self.resolved_platform(),
-            &self.tiled_intervals(),
-            self.work,
-            self.seed,
-            self.resolved_scenario(),
-            self.noise,
-            None,
-        )
-        .unwrap_or_else(|e| panic!("{} ({}): {e}", self.kernel.name(), self.key()))
+        profiled: Option<(f64, f64)>,
+    ) -> (RunOutput, RunCapture) {
+        let (output, _, capture) = self.run_captured(profiled);
+        (output, capture)
     }
 
     /// Derives this request's output from a family representative's
@@ -416,56 +391,12 @@ impl RunRequest<'_> {
     }
 }
 
-/// Where renderers obtain run outputs: either a caching executor or the
-/// direct bridge. Figure modules are written against this, so the same
-/// rendering code serves a standalone figure call and a merged
-/// cross-figure plan.
+/// Where renderers obtain run outputs. Figure modules are written against
+/// this, so the same rendering code serves a standalone figure call (a
+/// fresh [`PlanExecutor`]) and a merged cross-figure plan.
 pub trait RunSource: Sync {
     /// The output for `req`, executing it if it is not already available.
     fn output(&self, req: &RunRequest<'_>) -> RunOutput;
-}
-
-/// The trivial source: executes every request directly, no dedup, no
-/// result cache. `fig3(kernel, harness)` & friends run through this,
-/// which makes them byte-identical to the pre-plan implementations.
-/// Profiling passes do share the process-local profile memo — the
-/// memoized `(m_wcet, c_wcet)` is bit-identical to profiling inline, so
-/// outputs are unchanged while scenario-paired direct runs stop paying
-/// the pass twice.
-#[derive(Copy, Clone, Debug, Default)]
-pub struct Direct;
-
-/// The process-local profile memo [`Direct`] front ends share: one
-/// `(m_wcet, c_wcet)` pair per distinct [`RunRequest::profile_key`] per
-/// process, filled from whichever request computes it first.
-fn direct_memo() -> &'static Mutex<HashMap<String, (f64, f64)>> {
-    static MEMO: OnceLock<Mutex<HashMap<String, (f64, f64)>>> = OnceLock::new();
-    MEMO.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-impl RunSource for Direct {
-    fn output(&self, req: &RunRequest<'_>) -> RunOutput {
-        let key = req.profile_key();
-        if let Some(key) = &key {
-            if let Some(&w) = direct_memo()
-                .lock()
-                .expect("direct profile memo poisoned")
-                .get(key)
-            {
-                return req.execute_profiled(Some(w));
-            }
-        }
-        // Memo miss: the executor self-profiles (fused into the timed
-        // walk whenever the mix allows) and reports the pair it used.
-        let (out, wcets) = req.execute_reporting_profile();
-        if let (Some(key), Some(w)) = (key, wcets) {
-            direct_memo()
-                .lock()
-                .expect("direct profile memo poisoned")
-                .insert(key, w);
-        }
-        out
-    }
 }
 
 /// Shard count of the result cache. A power of two so the fingerprint can
@@ -550,9 +481,33 @@ impl fmt::Display for PlanSummary {
     }
 }
 
-/// One exactly-once `(m_wcet, c_wcet)` profile-memo cell, shared by every
+/// One write-once `(m_wcet, c_wcet)` profile-memo cell, shared by every
 /// unit whose request has the same [`RunRequest::profile_key`].
 type ProfileCell = Arc<OnceLock<(f64, f64)>>;
+
+/// The profile memo's hit/miss/backfill step, shared by every execution
+/// path: runs `exec` with the memoized pair when `cell` is already filled,
+/// and otherwise lets it self-profile (`None`) and backfills the cell
+/// with the pair it reports. `exec` is [`RunRequest::run`] or
+/// [`RunRequest::run_captured`] in some projection.
+///
+/// The cell is read when the unit starts and written only after it has
+/// run, so a sharer that starts before the first holder finishes
+/// profiles again; the first backfill wins and later ones are no-ops.
+/// Outputs are unaffected (every computation of a key's pass yields the
+/// bit-identical pair), and the summary's hit/miss counts are decided
+/// when cells are handed out, not here.
+fn with_profile_memo<T>(
+    cell: Option<&ProfileCell>,
+    exec: impl FnOnce(Option<(f64, f64)>) -> (T, Option<(f64, f64)>),
+) -> T {
+    let memoized = cell.and_then(|c| c.get().copied());
+    let (out, wcets) = exec(memoized);
+    if let (None, Some(cell), Some(w)) = (memoized, cell, wcets) {
+        let _ = cell.set(w);
+    }
+    out
+}
 
 /// The content-addressed execution pipeline: expands submitted plans,
 /// dedupes by canonical key, executes the unique frontier on the
@@ -564,11 +519,10 @@ pub struct PlanExecutor {
     store: Option<RunStore>,
     replay: bool,
     profile_memo: bool,
-    /// The profile memo: one exactly-once `(m_wcet, c_wcet)` cell per
+    /// The profile memo: one write-once `(m_wcet, c_wcet)` cell per
     /// distinct [`RunRequest::profile_key`]. Cells are handed to pool
-    /// units at expansion time; the first unit to need one computes the
-    /// pass, concurrent sharers block on the `OnceLock` instead of
-    /// re-profiling, and filled cells persist for every later plan.
+    /// units at expansion time and filled through [`with_profile_memo`];
+    /// filled cells persist for every later plan.
     profiles: Mutex<HashMap<String, ProfileCell>>,
     requested: AtomicUsize,
     executed: AtomicUsize,
@@ -829,34 +783,25 @@ impl PlanExecutor {
         // expansion thread: hit/miss accounting is decided by the memo's
         // state at expansion (first unit of a new key is the miss, every
         // sharer is a hit), so the summary is deterministic at any worker
-        // count even though the passes themselves race in the pool — the
-        // `OnceLock` cell guarantees exactly one computation per key.
-        let profile_cells: Vec<Option<ProfileCell>> = if self.profile_memo {
-            let mut memo = self.profiles.lock().expect("profile memo poisoned");
-            units
-                .iter()
-                .map(|unit| {
-                    let req = match *unit {
-                        Unit::Live(i) => frontier[i].1,
-                        Unit::Family(f) => frontier[families[f][0]].1,
-                    };
-                    let key = req.profile_key()?;
-                    use std::collections::hash_map::Entry;
-                    Some(match memo.entry(key) {
-                        Entry::Occupied(e) => {
-                            summary.profile_hits += 1;
-                            e.get().clone()
-                        }
-                        Entry::Vacant(v) => {
-                            summary.profile_misses += 1;
-                            v.insert(Arc::new(OnceLock::new())).clone()
-                        }
-                    })
-                })
-                .collect()
-        } else {
-            units.iter().map(|_| None).collect()
-        };
+        // count. The passes themselves race in the pool: a pass is
+        // computed at most once per unit that finds its cell still empty
+        // when it starts (see [`with_profile_memo`]).
+        let profile_cells: Vec<Option<ProfileCell>> = units
+            .iter()
+            .map(|unit| {
+                let req = match *unit {
+                    Unit::Live(i) => frontier[i].1,
+                    Unit::Family(f) => frontier[families[f][0]].1,
+                };
+                let (cell, hit) = self.profile_cell(req)?;
+                if hit {
+                    summary.profile_hits += 1;
+                } else {
+                    summary.profile_misses += 1;
+                }
+                Some(cell)
+            })
+            .collect();
         let tasks: Vec<(&Unit, Option<ProfileCell>)> = units.iter().zip(profile_cells).collect();
         let busy_ns = AtomicU64::new(0);
         let pool_start = metrics.enabled().then(Instant::now);
@@ -956,44 +901,19 @@ impl PlanExecutor {
                 // Pin the tiled stream for the whole unit so the profile
                 // pass and the timed run share one arena entry.
                 let _stream = req.tiled_intervals();
-                match cell.and_then(|c| c.get().copied()) {
-                    // Memo hit: feed the shared WCETs straight in.
-                    Some(w) => {
-                        let _live = Span::start(metrics, "plan.live_ns");
-                        vec![(i, req.execute_profiled(Some(w)))]
-                    }
-                    // Memo miss (or memoization off): let the executor
-                    // self-profile — fused into the timed walk for
-                    // constant-contention unpolluted mixes, a separate
-                    // inline pass otherwise — and backfill the cell so
-                    // every sharer still gets the memoized pair.
-                    None => {
-                        let _live = Span::start(metrics, "plan.live_ns");
-                        let (out, wcets) = req.execute_reporting_profile();
-                        if let (Some(cell), Some(w)) = (cell, wcets) {
-                            let _ = cell.set(w);
-                        }
-                        vec![(i, out)]
-                    }
-                }
+                let _live = Span::start(metrics, "plan.live_ns");
+                vec![(i, with_profile_memo(cell, |p| req.run(p)))]
             }
             Unit::Family(f) => {
                 let members = &families[f];
                 let rep = frontier[members[0]].1;
                 let _stream = rep.tiled_intervals();
-                let (rep_output, capture) = match cell.and_then(|c| c.get().copied()) {
-                    Some(w) => {
-                        let _live = Span::start(metrics, "plan.live_ns");
-                        rep.execute_captured_profiled(Some(w))
-                    }
-                    None => {
-                        let _live = Span::start(metrics, "plan.live_ns");
-                        let (out, wcets, capture) = rep.execute_captured_reporting_profile();
-                        if let (Some(cell), Some(w)) = (cell, wcets) {
-                            let _ = cell.set(w);
-                        }
-                        (out, capture)
-                    }
+                let (rep_output, capture) = {
+                    let _live = Span::start(metrics, "plan.live_ns");
+                    with_profile_memo(cell, |p| {
+                        let (out, wcets, capture) = rep.run_captured(p);
+                        ((out, capture), wcets)
+                    })
                 };
                 let mut outs = Vec::with_capacity(members.len());
                 outs.push((members[0], rep_output));
@@ -1084,20 +1004,17 @@ impl RunSource for PlanExecutor {
         }
         // A lazy miss profiles through the same memo the pool uses, so a
         // data-dependent tail (e.g. a best-T follow-up re-running a
-        // scenario sibling) still skips the pass; a cold cell is filled
-        // from the executor's self-reported WCETs (fused into the timed
-        // run whenever the mix allows).
-        let cell = self.lazy_cell(req);
-        let out = match cell.as_ref().and_then(|c| c.get().copied()) {
-            Some(w) => req.execute_profiled(Some(w)),
-            None => {
-                let (out, wcets) = req.execute_reporting_profile();
-                if let (Some(cell), Some(w)) = (cell.as_ref(), wcets) {
-                    let _ = cell.set(w);
-                }
-                out
-            }
-        };
+        // scenario sibling) still skips the pass.
+        let cell = self.profile_cell(req).map(|(cell, hit)| {
+            let counter = if hit {
+                &self.profile_hits
+            } else {
+                &self.profile_misses
+            };
+            counter.fetch_add(1, Ordering::Relaxed);
+            cell
+        });
+        let out = with_profile_memo(cell.as_ref(), |p| req.run(p));
         self.requested.fetch_add(1, Ordering::Relaxed);
         self.executed.fetch_add(1, Ordering::Relaxed);
         self.persist([(key.as_str(), &out)], &NullMetrics);
@@ -1107,28 +1024,17 @@ impl RunSource for PlanExecutor {
 }
 
 impl PlanExecutor {
-    /// Memo-cell resolution for the lazy [`RunSource::output`] path:
-    /// resolves (or creates) the request's profile memo cell and charges
-    /// the hit/miss on this executor's counters. The caller reads a
-    /// filled cell as a memoized `(m_wcet, c_wcet)` and backfills an
-    /// empty one from the executor's self-reported pair.
-    fn lazy_cell(&self, req: &RunRequest<'_>) -> Option<ProfileCell> {
+    /// Resolves (or creates) `req`'s profile memo cell, flagging whether
+    /// the key was already present (a memo hit). `None` for baseline work
+    /// and when memoization is off.
+    fn profile_cell(&self, req: &RunRequest<'_>) -> Option<(ProfileCell, bool)> {
         if !self.profile_memo {
             return None;
         }
         let key = req.profile_key()?;
-        use std::collections::hash_map::Entry;
         let mut memo = self.profiles.lock().expect("profile memo poisoned");
-        Some(match memo.entry(key) {
-            Entry::Occupied(e) => {
-                self.profile_hits.fetch_add(1, Ordering::Relaxed);
-                e.get().clone()
-            }
-            Entry::Vacant(v) => {
-                self.profile_misses.fetch_add(1, Ordering::Relaxed);
-                v.insert(Arc::new(OnceLock::new())).clone()
-            }
-        })
+        let hit = memo.contains_key(&key);
+        Some((memo.entry(key).or_default().clone(), hit))
     }
 }
 
@@ -1211,8 +1117,8 @@ mod tests {
         let s = exec.execute(&[a.clone(), b.clone()], 1);
         assert_eq!((s.executed, s.hits), (0, 2));
         assert_eq!(exec.executed_runs(), 2);
-        // Cached output equals a direct execution.
-        assert_eq!(exec.output(&a), Direct.output(&a));
+        // Cached output equals a plain execution.
+        assert_eq!(exec.output(&a), a.execute());
         assert_eq!(exec.executed_runs(), 2, "output() after execute() is a hit");
     }
 
@@ -1256,7 +1162,7 @@ mod tests {
         assert_eq!(warm.output(&lazy), lazy_out);
         assert_eq!(warm.executed_runs(), 0);
         assert_eq!(warm.summary().disk_hits, 3);
-        assert_eq!(warm.output(&a), Direct.output(&a));
+        assert_eq!(warm.output(&a), a.execute());
 
         // An invalidating platform tweak changes the key, so only the
         // tweaked request re-executes.
@@ -1306,7 +1212,7 @@ mod tests {
     }
 
     #[test]
-    fn executor_matches_direct_at_any_worker_count() {
+    fn executor_matches_plain_execution_at_any_worker_count() {
         let k = Bicg::new(128, 128);
         let reqs: Vec<RunRequest<'_>> = (0..4)
             .map(|i| req(&k, RunWork::PremLlc { r: 8 }, 32 * KIB, 11 + i))
@@ -1314,7 +1220,7 @@ mod tests {
         let exec = PlanExecutor::new();
         exec.execute(&reqs, 4);
         for r in &reqs {
-            assert_eq!(exec.output(r), Direct.output(r));
+            assert_eq!(exec.output(r), r.execute());
         }
     }
 }

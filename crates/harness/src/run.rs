@@ -91,12 +91,6 @@ pub fn run_cell_with(spec: &MatrixSpec, cell: &CellSpec, source: &impl RunSource
     )
 }
 
-/// Runs a single cell directly (no cache) — the sequential timing path
-/// `bench_matrix` gates CI with.
-pub fn run_cell(spec: &MatrixSpec, cell: &CellSpec) -> CellResult {
-    run_cell_with(spec, cell, &crate::plan::Direct)
-}
-
 /// Expands `spec` and executes every cell's runs as **one deduplicated
 /// plan** on `workers` threads (run granularity: 2 × cells tasks).
 ///
@@ -141,6 +135,11 @@ mod tests {
     use crate::spec::{CorunnerMix, MatrixPlatform, MatrixScenario};
     use prem_gpusim::{CorunnerProfile, Scenario};
     use prem_kernels::Bicg;
+
+    /// One cell served by a fresh executor (no shared cache).
+    fn run_cell(spec: &MatrixSpec, cell: &CellSpec) -> CellResult {
+        run_cell_with(spec, cell, &PlanExecutor::new())
+    }
 
     fn tiny_spec() -> MatrixSpec {
         let mut spec = MatrixSpec::quick(vec![Box::new(Bicg::new(128, 128))]);

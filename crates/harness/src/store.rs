@@ -740,8 +740,10 @@ mod tests {
             seed,
             Scenario::Isolation,
             NoiseModel::off(),
+            None,
         )
         .expect("sample run")
+        .0
     }
 
     fn sample_output(seed: u64) -> RunOutput {

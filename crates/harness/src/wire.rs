@@ -5,9 +5,8 @@
 //! boundary. This module provides the owned form the `prem-serve` front
 //! end ships over pipes: an [`OwnedRunRequest`] names its kernel through
 //! the [`prem_kernels::registry`] ([`KernelId`]) and its platform through
-//! a closed [`PlatformId`] enum, so the request is pure data — two
-//! codecs (a versioned varint binary form reusing [`prem_core::codec`],
-//! and a human-writable line form) round-trip it byte-identically.
+//! a closed [`PlatformId`] enum, so the request is pure data — a
+//! versioned, human-writable line form round-trips it exactly.
 //!
 //! The identity contract: resolving an owned request
 //! ([`OwnedRunRequest::resolve`]) yields a borrowed request whose
@@ -18,13 +17,13 @@
 //! store, replay families — is oblivious to which side of a pipe a
 //! request was born on.
 //!
-//! All decode failures are hard `InvalidData`/`UnexpectedEof` errors,
-//! never silent defaults, matching the codec and store contracts.
+//! All parse failures are hard `InvalidData` errors, never silent
+//! defaults, matching the codec and store contracts.
 
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io;
 
-use prem_core::codec::{bad_data, read_f64, read_u8, read_varint, write_f64, write_varint};
+use prem_core::codec::bad_data;
 use prem_core::{NoiseModel, RunWork};
 use prem_gpusim::{CorunnerProfile, PlatformConfig, Scenario};
 use prem_kernels::{Kernel, KernelId};
@@ -33,19 +32,9 @@ use prem_memsim::KIB;
 use crate::plan::{PlatformSpec, RunRequest};
 use crate::spec::{scenario_name, CorunnerMix, MatrixPolicy, MatrixScenario};
 
-/// Version byte leading every binary-encoded request and the `v1` tag
-/// leading every request line. Bump on any layout change.
+/// Version of the line form: the `v1` tag leading every request line.
+/// Bump on any grammar change.
 pub const WIRE_VERSION: u8 = 1;
-
-/// Decode guard: longest accepted name (kernel, platform, mix) on the
-/// wire. A length prefix beyond this is corruption, not a long name.
-const MAX_NAME: u64 = 256;
-
-/// Decode guard: most constructor dimensions a kernel identity may carry.
-const MAX_DIMS: u64 = 16;
-
-/// Decode guard: most co-runner profiles a mix may carry.
-const MAX_PROFILES: u64 = 1024;
 
 /// A platform template as pure data: the closed set of named presets plus
 /// the generic geometry, exactly the constructions
@@ -187,7 +176,7 @@ impl fmt::Display for PlatformId {
     }
 }
 
-/// An owned, codec-able run request: the same seven coordinates as a
+/// An owned, wire-ready run request: the same seven coordinates as a
 /// borrowed [`RunRequest`], with the kernel named through the registry
 /// and the platform through [`PlatformId`].
 #[derive(Clone, Debug, PartialEq)]
@@ -253,180 +242,6 @@ impl OwnedRunRequest {
         Ok(ResolvedRunRequest {
             kernel,
             owned: self,
-        })
-    }
-
-    /// Encodes the request in the versioned binary wire form (varint
-    /// layout, [`WIRE_VERSION`] leading byte).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64);
-        self.write(&mut out).expect("Vec write is infallible");
-        out
-    }
-
-    /// Writes the binary wire form to `w`.
-    pub fn write<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        w.write_all(&[WIRE_VERSION])?;
-        write_str(w, &self.kernel.name)?;
-        write_varint(w, self.kernel.dims.len() as u64)?;
-        for &d in &self.kernel.dims {
-            write_varint(w, d as u64)?;
-        }
-        match &self.platform {
-            PlatformId::Tx1 => w.write_all(&[0])?,
-            PlatformId::Tx2 => w.write_all(&[1])?,
-            PlatformId::XavierLike => w.write_all(&[2])?,
-            PlatformId::Generic {
-                llc_kib,
-                ways,
-                spm_kib,
-            } => {
-                w.write_all(&[3])?;
-                write_varint(w, *llc_kib as u64)?;
-                write_varint(w, *ways as u64)?;
-                write_varint(w, *spm_kib as u64)?;
-            }
-        }
-        match self.policy {
-            None => w.write_all(&[0])?,
-            Some(p) => {
-                let tag = MatrixPolicy::what_if_axis()
-                    .iter()
-                    .position(|q| *q == p)
-                    .expect("what_if_axis covers every policy") as u8;
-                w.write_all(&[tag + 1])?;
-            }
-        }
-        match self.work {
-            RunWork::PremLlc { r } => {
-                w.write_all(&[0])?;
-                write_varint(w, u64::from(r))?;
-            }
-            RunWork::PremSpm => w.write_all(&[1])?,
-            RunWork::Baseline => w.write_all(&[2])?,
-        }
-        write_varint(w, self.t_bytes as u64)?;
-        write_varint(w, self.seed)?;
-        match &self.scenario {
-            MatrixScenario::Preset(s) => {
-                w.write_all(&[0])?;
-                let tag = match s {
-                    Scenario::Isolation => 0,
-                    Scenario::Interference => 1,
-                    Scenario::Corunners => 2,
-                };
-                w.write_all(&[tag])?;
-            }
-            MatrixScenario::Mix(m) => {
-                w.write_all(&[1])?;
-                write_str(w, &m.name)?;
-                write_varint(w, m.profiles.len() as u64)?;
-                for p in &m.profiles {
-                    write_profile(w, p)?;
-                }
-            }
-        }
-        write_varint(w, u64::from(self.noise.lines))?;
-        write_varint(w, u64::from(self.noise.every))
-    }
-
-    /// Decodes the binary wire form, requiring exact consumption:
-    /// trailing bytes are corruption, not padding. Inverse of
-    /// [`OwnedRunRequest::encode`].
-    pub fn decode(bytes: &[u8]) -> io::Result<OwnedRunRequest> {
-        let mut r = bytes;
-        let req = OwnedRunRequest::read(&mut r)?;
-        if !r.is_empty() {
-            return Err(bad_data(&format!(
-                "{} trailing bytes after request",
-                r.len()
-            )));
-        }
-        Ok(req)
-    }
-
-    /// Reads one binary wire form from `r`.
-    pub fn read<R: Read>(r: &mut R) -> io::Result<OwnedRunRequest> {
-        let version = read_u8(r)?;
-        if version != WIRE_VERSION {
-            return Err(bad_data(&format!(
-                "wire version {version} (expected {WIRE_VERSION})"
-            )));
-        }
-        let name = read_string(r)?;
-        let ndims = read_varint(r)?;
-        if ndims > MAX_DIMS {
-            return Err(bad_data(&format!("{ndims} kernel dims")));
-        }
-        let mut dims = Vec::with_capacity(ndims as usize);
-        for _ in 0..ndims {
-            dims.push(read_usize(r)?);
-        }
-        let platform = match read_u8(r)? {
-            0 => PlatformId::Tx1,
-            1 => PlatformId::Tx2,
-            2 => PlatformId::XavierLike,
-            3 => PlatformId::Generic {
-                llc_kib: read_usize(r)?,
-                ways: read_usize(r)?,
-                spm_kib: read_usize(r)?,
-            },
-            t => return Err(bad_data(&format!("platform tag {t}"))),
-        };
-        let policy = match read_u8(r)? {
-            0 => None,
-            t if (t as usize) <= MatrixPolicy::what_if_axis().len() => {
-                Some(MatrixPolicy::what_if_axis()[t as usize - 1])
-            }
-            t => return Err(bad_data(&format!("policy tag {t}"))),
-        };
-        let work = match read_u8(r)? {
-            0 => {
-                let r32 = read_varint(r)?;
-                RunWork::PremLlc {
-                    r: u32::try_from(r32).map_err(|_| bad_data("prefetch factor overflow"))?,
-                }
-            }
-            1 => RunWork::PremSpm,
-            2 => RunWork::Baseline,
-            t => return Err(bad_data(&format!("work tag {t}"))),
-        };
-        let t_bytes = read_usize(r)?;
-        let seed = read_varint(r)?;
-        let scenario = match read_u8(r)? {
-            0 => MatrixScenario::Preset(match read_u8(r)? {
-                0 => Scenario::Isolation,
-                1 => Scenario::Interference,
-                2 => Scenario::Corunners,
-                t => return Err(bad_data(&format!("scenario preset tag {t}"))),
-            }),
-            1 => {
-                let name = read_string(r)?;
-                let n = read_varint(r)?;
-                if n > MAX_PROFILES {
-                    return Err(bad_data(&format!("{n} mix profiles")));
-                }
-                let mut profiles = Vec::with_capacity(n as usize);
-                for _ in 0..n {
-                    profiles.push(read_profile(r)?);
-                }
-                MatrixScenario::Mix(CorunnerMix::new(name, profiles))
-            }
-            t => return Err(bad_data(&format!("scenario tag {t}"))),
-        };
-        let noise = NoiseModel {
-            lines: read_u32(r)?,
-            every: read_u32(r)?,
-        };
-        Ok(OwnedRunRequest {
-            kernel: KernelId::new(name, dims),
-            platform,
-            policy,
-            work,
-            t_bytes,
-            seed,
-            scenario,
-            noise,
         })
     }
 
@@ -560,66 +375,6 @@ impl ResolvedRunRequest {
     }
 }
 
-/// Writes a length-prefixed UTF-8 string.
-fn write_str<W: Write>(w: &mut W, s: &str) -> io::Result<()> {
-    write_varint(w, s.len() as u64)?;
-    w.write_all(s.as_bytes())
-}
-
-/// Reads a length-prefixed UTF-8 string (bounded by [`MAX_NAME`]).
-fn read_string<R: Read>(r: &mut R) -> io::Result<String> {
-    let len = read_varint(r)?;
-    if len > MAX_NAME {
-        return Err(bad_data(&format!("{len}-byte wire name")));
-    }
-    let mut buf = vec![0u8; len as usize];
-    r.read_exact(&mut buf)?;
-    String::from_utf8(buf).map_err(|_| bad_data("wire name is not UTF-8"))
-}
-
-/// Reads a varint that must fit `usize`.
-fn read_usize<R: Read>(r: &mut R) -> io::Result<usize> {
-    usize::try_from(read_varint(r)?).map_err(|_| bad_data("value overflows usize"))
-}
-
-/// Reads a varint that must fit `u32`.
-fn read_u32<R: Read>(r: &mut R) -> io::Result<u32> {
-    u32::try_from(read_varint(r)?).map_err(|_| bad_data("value overflows u32"))
-}
-
-/// Writes one co-runner profile (tag byte plus `Bursty` parameters).
-fn write_profile<W: Write>(w: &mut W, p: &CorunnerProfile) -> io::Result<()> {
-    match p {
-        CorunnerProfile::Membomb => w.write_all(&[0]),
-        CorunnerProfile::Stream => w.write_all(&[1]),
-        CorunnerProfile::CacheThrash => w.write_all(&[2]),
-        CorunnerProfile::Bursty {
-            duty,
-            period_cycles,
-        } => {
-            w.write_all(&[3])?;
-            write_f64(w, *duty)?;
-            write_f64(w, *period_cycles)
-        }
-        CorunnerProfile::Idle => w.write_all(&[4]),
-    }
-}
-
-/// Reads one co-runner profile.
-fn read_profile<R: Read>(r: &mut R) -> io::Result<CorunnerProfile> {
-    Ok(match read_u8(r)? {
-        0 => CorunnerProfile::Membomb,
-        1 => CorunnerProfile::Stream,
-        2 => CorunnerProfile::CacheThrash,
-        3 => CorunnerProfile::Bursty {
-            duty: read_f64(r)?,
-            period_cycles: read_f64(r)?,
-        },
-        4 => CorunnerProfile::Idle,
-        t => return Err(bad_data(&format!("co-runner profile tag {t}"))),
-    })
-}
-
 /// The line-form spelling of one profile: its stable name, with `Bursty`
 /// carrying its parameters as `bursty(duty,period)`. Rust's shortest
 /// round-trip float formatting keeps the text form lossless.
@@ -747,14 +502,13 @@ mod tests {
     }
 
     #[test]
-    fn binary_and_line_forms_round_trip() {
+    fn line_form_round_trips() {
         let req = sample();
-        assert_eq!(OwnedRunRequest::decode(&req.encode()).unwrap(), req);
         assert_eq!(OwnedRunRequest::from_line(&req.to_line()).unwrap(), req);
     }
 
     #[test]
-    fn bursty_parameters_survive_both_forms() {
+    fn bursty_parameters_survive_the_line_form() {
         let mut req = sample();
         req.scenario = MatrixScenario::Mix(CorunnerMix::new(
             "1xbursty",
@@ -763,7 +517,6 @@ mod tests {
                 period_cycles: 12_500.5,
             }],
         ));
-        assert_eq!(OwnedRunRequest::decode(&req.encode()).unwrap(), req);
         assert_eq!(OwnedRunRequest::from_line(&req.to_line()).unwrap(), req);
     }
 
@@ -784,20 +537,6 @@ mod tests {
         assert_eq!(resolved.request().key(), borrowed.key());
         assert_eq!(resolved.request().base_key(), borrowed.base_key());
         assert_eq!(resolved.request().fingerprint(), borrowed.fingerprint());
-    }
-
-    #[test]
-    fn truncation_and_trailing_bytes_are_hard_errors() {
-        let bytes = sample().encode();
-        for cut in 0..bytes.len() {
-            assert!(
-                OwnedRunRequest::decode(&bytes[..cut]).is_err(),
-                "truncation at {cut} accepted"
-            );
-        }
-        let mut padded = bytes;
-        padded.push(0);
-        assert!(OwnedRunRequest::decode(&padded).is_err());
     }
 
     #[test]

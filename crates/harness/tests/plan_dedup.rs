@@ -16,7 +16,7 @@ use proptest::prelude::*;
 use prem_core::{NoiseModel, RunWork};
 use prem_gpusim::Scenario;
 use prem_harness::seed::fingerprint;
-use prem_harness::{Direct, MatrixScenario, PlanExecutor, PlatformSpec, RunRequest, RunSource};
+use prem_harness::{MatrixScenario, PlanExecutor, PlatformSpec, RunRequest, RunSource};
 use prem_kernels::{Bicg, Kernel};
 use prem_memsim::KIB;
 
@@ -136,7 +136,7 @@ fn no_false_sharing_between_distinct_requests() {
     for req in &requests {
         assert_eq!(
             executor.output(req),
-            Direct.output(req),
+            req.execute(),
             "cached output diverged from direct execution for {}",
             req.key()
         );

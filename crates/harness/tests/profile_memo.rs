@@ -8,6 +8,10 @@
 //! * **memo transparency** — a memo-enabled executor produces
 //!   bit-identical outputs to a memo-disabled one at any worker count,
 //!   and its summary charges exactly one profiling pass per distinct key;
+//! * **reported profile** — the `(m_wcet, c_wcet)` pair the plain and the
+//!   capturing entry report when they self-profile is bit-for-bit the
+//!   separate profiling pass, fused or not, and feeding it back is
+//!   output-identical (every memo backfill relies on this pair);
 //! * **replay × memo** — the composed fast path (replay families fed by
 //!   memoized profiles) still matches direct execution field for field.
 
@@ -16,8 +20,7 @@ use proptest::prelude::*;
 use prem_core::{NoiseModel, RunWork};
 use prem_gpusim::{CorunnerProfile, Scenario};
 use prem_harness::{
-    CorunnerMix, Direct, MatrixPolicy, MatrixScenario, PlanExecutor, PlatformSpec, RunRequest,
-    RunSource,
+    CorunnerMix, MatrixPolicy, MatrixScenario, PlanExecutor, PlatformSpec, RunRequest, RunSource,
 };
 use prem_kernels::{Bicg, Kernel};
 use prem_memsim::KIB;
@@ -135,6 +138,38 @@ proptest! {
                 && a.noisy == b.noisy
                 && a.small_kernel == b.small_kernel;
             prop_assert_eq!(ka == kb, same);
+        }
+    }
+
+    /// The pair a self-profiling run reports is exactly the profiling
+    /// pass's, bit for bit, through both the plain and the capturing
+    /// entry; feeding it back reproduces the output. Every sampled
+    /// coordinate is checked under every scenario pick, so each case
+    /// covers mixes whose pass fuses into the timed run (isolation,
+    /// interference, membomb mixes) and one whose pass cannot (the cache
+    /// thrasher pollutes the LLC).
+    #[test]
+    fn reported_wcets_are_the_profiling_pass_bit_for_bit(c in coord()) {
+        let small = Bicg::new(96, 96);
+        let large = Bicg::new(128, 128);
+        let bits = |p: Option<(f64, f64)>| p.map(|(m, c)| (m.to_bits(), c.to_bits()));
+        for scenario_pick in 0..4 {
+            let req = build(&Coord { scenario_pick, ..c.clone() }, &small, &large);
+            let profiled = bits(req.profile());
+
+            let (out, wcets) = req.run(None);
+            prop_assert!(bits(wcets) == profiled, "{}", req.key());
+            let (fed, fed_wcets) = req.run(wcets);
+            prop_assert!(fed == out, "{}", req.key());
+            prop_assert!(bits(fed_wcets) == profiled, "{}", req.key());
+
+            if req.replay_eligible() {
+                let (captured, captured_wcets, _) = req.run_captured(None);
+                prop_assert!(bits(captured_wcets) == profiled, "{}", req.key());
+                prop_assert!(captured == out, "{}", req.key());
+                let (captured_fed, _, _) = req.run_captured(captured_wcets);
+                prop_assert!(captured_fed == out, "{}", req.key());
+            }
         }
     }
 
@@ -275,7 +310,7 @@ fn replay_with_memo_matches_direct_field_for_field() {
 
     for req in &column {
         let replayed = executor.output(req).prem();
-        let direct = Direct.output(req).prem();
+        let direct = req.execute().prem();
         assert_eq!(replayed.intervals, direct.intervals, "{}", req.key());
         assert_eq!(replayed.breakdown, direct.breakdown, "{}", req.key());
         assert_eq!(

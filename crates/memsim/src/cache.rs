@@ -216,7 +216,7 @@ mod meta {
 /// A set-associative cache.
 ///
 /// Storage is the packed hot-path layout: a sentinel-tagged flat `u64` tag
-/// array (validity folded into the tag, see [`EMPTY_TAG`]) plus one
+/// array (validity folded into the tag, see `EMPTY_TAG`) plus one
 /// metadata byte per slot carrying the dirty/foreign/alive bits. The hit
 /// path touches only the tag lane and returns before any miss bookkeeping;
 /// [`Replacer`]/[`Rng`] interaction is identical to the unpacked layout,
@@ -329,7 +329,7 @@ impl Cache {
     /// # Panics
     ///
     /// Panics on the reserved sentinel address `u64::MAX` (see
-    /// [`EMPTY_TAG`]); no modeled address space reaches it.
+    /// `EMPTY_TAG`); no modeled address space reaches it.
     pub fn access(&mut self, line: LineAddr, kind: AccessKind, phase: Phase) -> AccessOutcome {
         let raw = line.raw();
         assert_ne!(

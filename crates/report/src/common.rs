@@ -1,18 +1,18 @@
 //! Shared experiment runners: one canonical request builder per
-//! (configuration, scenario), with thin direct-execution wrappers.
+//! (configuration, scenario), with thin one-run wrappers.
 //!
 //! Since the run-plan refactor the three execution modes every figure
 //! builds on — tamed/naive LLC-PREM, SPM-PREM and the unprotected
 //! baseline — are *request builders* ([`llc_request`], [`spm_request`],
 //! [`base_request`]) producing canonical [`RunRequest`]s on the TX1
-//! platform with TX1-calibrated noise. The classic runners ([`run_llc`], [`run_spm`],
-//! [`run_base`]) are one-request plans executed through the direct source,
-//! so a standalone call is byte-identical to the same request served from
-//! a merged figure plan's cache.
+//! platform with TX1-calibrated noise. The classic runners ([`run_llc`],
+//! [`run_spm`], [`run_base`]) execute one such request
+//! ([`RunRequest::execute`]), so a standalone call is byte-identical to the
+//! same request served from a merged figure plan's cache.
 
 use prem_core::{BaselineRun, NoiseModel, PremConfig, PremRun, RunWork};
 use prem_gpusim::{PlatformConfig, Scenario};
-use prem_harness::{Direct, MatrixScenario, PlatformSpec, RunRequest, RunSource};
+use prem_harness::{MatrixScenario, PlatformSpec, RunRequest};
 use prem_kernels::Kernel;
 use prem_memsim::KIB;
 
@@ -126,16 +126,14 @@ pub fn base_request(kernel: &dyn Kernel, seed: u64, scenario: Scenario) -> RunRe
 }
 
 /// Runs PREM on the LLC with `r` prefetch repetitions at interval size `t`
-/// — a one-request plan through the direct source.
+/// — one executed [`llc_request`].
 ///
 /// # Panics
 ///
 /// Panics if the kernel cannot be tiled at `t` — experiment configurations
 /// are expected to respect `kernel.min_interval_bytes()`.
 pub fn run_llc(kernel: &dyn Kernel, t: usize, r: u32, seed: u64, scenario: Scenario) -> PremRun {
-    Direct
-        .output(&llc_request(kernel, t, r, seed, scenario))
-        .prem()
+    llc_request(kernel, t, r, seed, scenario).execute().prem()
 }
 
 /// Runs PREM on the scratchpad at interval size `t` (`t` must fit the SPM).
@@ -145,16 +143,12 @@ pub fn run_llc(kernel: &dyn Kernel, t: usize, r: u32, seed: u64, scenario: Scena
 /// Panics if the kernel cannot be tiled at `t` or the tiling exceeds the
 /// scratchpad.
 pub fn run_spm(kernel: &dyn Kernel, t: usize, seed: u64, scenario: Scenario) -> PremRun {
-    Direct
-        .output(&spm_request(kernel, t, seed, scenario))
-        .prem()
+    spm_request(kernel, t, seed, scenario).execute().prem()
 }
 
 /// Runs the unprotected baseline (cache-tiled at [`T_BASE`], no PREM).
 pub fn run_base(kernel: &dyn Kernel, seed: u64, scenario: Scenario) -> BaselineRun {
-    Direct
-        .output(&base_request(kernel, seed, scenario))
-        .baseline()
+    base_request(kernel, seed, scenario).execute().baseline()
 }
 
 /// The interval sizes (KiB) evaluated on the LLC (paper Figs 3–5).

@@ -7,7 +7,7 @@
 //! normalized to the baseline's isolated execution time.
 
 use prem_gpusim::Scenario;
-use prem_harness::{Direct, RunRequest, RunSource};
+use prem_harness::{RunRequest, RunSource};
 use prem_kernels::Kernel;
 use prem_memsim::KIB;
 
@@ -136,32 +136,24 @@ fn feasible_llc(kernel: &dyn Kernel, t_llc_kib: &[usize]) -> Vec<usize> {
         .collect()
 }
 
-/// Produces Fig 3 (naive single prefetch pass).
-pub fn fig3(kernel: &dyn Kernel, harness: &Harness) -> Fig35 {
-    fig3_with(kernel, harness, &Direct)
-}
-
-/// [`fig3`] rendered from `source` (plan builder: [`fig3_requests`]).
+/// Fig 3 (naive single prefetch pass), rendered from `source` (plan
+/// builder: [`fig3_requests`]).
 pub fn fig3_with(kernel: &dyn Kernel, harness: &Harness, source: &impl RunSource) -> Fig35 {
     fig35_with(kernel, harness, 1, &t_sweep_spm(), &t_sweep_llc(), source)
 }
 
-/// The runs [`fig3`] consumes, as a plan.
+/// The runs [`fig3_with`] consumes, as a plan.
 pub fn fig3_requests<'k>(kernel: &'k dyn Kernel, harness: &Harness) -> Vec<RunRequest<'k>> {
     fig35_requests(kernel, harness, 1, &t_sweep_spm(), &t_sweep_llc())
 }
 
-/// Produces Fig 5 (tamed: R = 8).
-pub fn fig5(kernel: &dyn Kernel, harness: &Harness) -> Fig35 {
-    fig5_with(kernel, harness, &Direct)
-}
-
-/// [`fig5`] rendered from `source` (plan builder: [`fig5_requests`]).
+/// Fig 5 (tamed: R = 8), rendered from `source` (plan builder:
+/// [`fig5_requests`]).
 pub fn fig5_with(kernel: &dyn Kernel, harness: &Harness, source: &impl RunSource) -> Fig35 {
     fig35_with(kernel, harness, 8, &t_sweep_spm(), &t_sweep_llc(), source)
 }
 
-/// The runs [`fig5`] consumes, as a plan.
+/// The runs [`fig5_with`] consumes, as a plan.
 pub fn fig5_requests<'k>(kernel: &'k dyn Kernel, harness: &Harness) -> Vec<RunRequest<'k>> {
     fig35_requests(kernel, harness, 8, &t_sweep_spm(), &t_sweep_llc())
 }
@@ -189,18 +181,8 @@ pub fn fig35_requests<'k>(
     reqs
 }
 
-/// Produces the breakdown figure with explicit sweeps.
-pub fn fig35(
-    kernel: &dyn Kernel,
-    harness: &Harness,
-    r: u32,
-    t_spm_kib: &[usize],
-    t_llc_kib: &[usize],
-) -> Fig35 {
-    fig35_with(kernel, harness, r, t_spm_kib, t_llc_kib, &Direct)
-}
-
-/// [`fig35`] rendered from `source`: consumes exactly the runs
+/// The breakdown figure with explicit sweeps, rendered from `source`:
+/// consumes exactly the runs
 /// [`fig35_requests`] enumerates.
 pub fn fig35_with(
     kernel: &dyn Kernel,

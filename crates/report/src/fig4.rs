@@ -6,7 +6,7 @@
 //! TX1), and rises rapidly beyond it.
 
 use prem_gpusim::Scenario;
-use prem_harness::{Direct, RunRequest, RunSource};
+use prem_harness::{RunRequest, RunSource};
 use prem_kernels::Kernel;
 use prem_memsim::KIB;
 
@@ -51,17 +51,13 @@ impl Fig4 {
     }
 }
 
-/// Measures the CPMR grid on `kernel`.
-pub fn fig4(kernel: &dyn Kernel, harness: &Harness) -> Fig4 {
-    fig4_with_sweeps(kernel, harness, &r_sweep(), &t_sweep_llc())
-}
-
-/// [`fig4`] rendered from `source` (plan builder: [`fig4_requests`]).
+/// Measures the CPMR grid on `kernel`, rendered from `source` (plan
+/// builder: [`fig4_requests`]).
 pub fn fig4_with(kernel: &dyn Kernel, harness: &Harness, source: &impl RunSource) -> Fig4 {
     fig4_with_sweeps_from(kernel, harness, &r_sweep(), &t_sweep_llc(), source)
 }
 
-/// The runs [`fig4`] consumes, as a plan: the isolated `(R, T)` grid,
+/// The runs [`fig4_with`] consumes, as a plan: the isolated `(R, T)` grid,
 /// seed-expanded. Grid points whose `T` is floored to the same
 /// `min_interval_bytes` collapse to one canonical request, so the plan
 /// itself dedups what the figure would re-measure.
@@ -90,17 +86,7 @@ pub fn fig4_sweep_requests<'k>(
 }
 
 /// Measures the CPMR grid with explicit sweeps (used by tests and smaller
-/// benches).
-pub fn fig4_with_sweeps(
-    kernel: &dyn Kernel,
-    harness: &Harness,
-    r_values: &[u32],
-    t_kib: &[usize],
-) -> Fig4 {
-    fig4_with_sweeps_from(kernel, harness, r_values, t_kib, &Direct)
-}
-
-/// [`fig4_with_sweeps`] rendered from `source`: consumes exactly the runs
+/// benches), rendered from `source`: consumes exactly the runs
 /// [`fig4_sweep_requests`] enumerates.
 pub fn fig4_with_sweeps_from(
     kernel: &dyn Kernel,

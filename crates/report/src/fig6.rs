@@ -7,7 +7,7 @@
 //! ~10 % on average and by >200 % in the best case.
 
 use prem_gpusim::Scenario;
-use prem_harness::{Direct, RunRequest, RunSource};
+use prem_harness::{RunRequest, RunSource};
 use prem_kernels::Kernel;
 use prem_memsim::KIB;
 
@@ -104,12 +104,7 @@ impl Fig6 {
     }
 }
 
-/// Runs the per-kernel evaluation.
-pub fn fig6(suite: &[Box<dyn Kernel>], harness: &Harness, t_llc_kib: usize, r: u32) -> Fig6 {
-    fig6_with(suite, harness, t_llc_kib, r, &Direct)
-}
-
-/// [`fig6`] rendered from `source`.
+/// Runs the per-kernel evaluation, rendered from `source`.
 ///
 /// The figure's plan has a data-dependent tail: the SPM row runs under
 /// interference only at the kernel's *best* isolated interval size, which
@@ -130,7 +125,7 @@ pub fn fig6_with(
     Fig6 { t_llc_kib, r, rows }
 }
 
-/// The unconditional runs of [`fig6`], as a plan: both baseline scenarios,
+/// The unconditional runs of [`fig6_with`], as a plan: both baseline scenarios,
 /// every feasible isolated SPM candidate, and the LLC configuration in
 /// both scenarios, per kernel and seed.
 pub fn fig6_requests<'k>(
@@ -156,7 +151,7 @@ pub fn fig6_requests<'k>(
     reqs
 }
 
-/// The data-dependent tail of [`fig6`]'s plan: one interference SPM run
+/// The data-dependent tail of [`fig6_with`]'s plan: one interference SPM run
 /// per kernel at its best isolated interval size. Needs the
 /// [`fig6_requests`] wave in `source` (serves it from cache; with a cold
 /// source it executes the isolated candidates on the calling thread).

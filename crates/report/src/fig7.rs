@@ -7,7 +7,7 @@
 
 use prem_core::sensitivity;
 use prem_gpusim::Scenario;
-use prem_harness::{Direct, RunRequest, RunSource};
+use prem_harness::{RunRequest, RunSource};
 use prem_kernels::Kernel;
 use prem_memsim::KIB;
 
@@ -57,12 +57,8 @@ pub fn fig7_t_sweep() -> Vec<usize> {
     vec![64, 96, 128, 160, 192]
 }
 
-/// Measures Fig 7 over a kernel suite.
-pub fn fig7(suite: &[Box<dyn Kernel>], harness: &Harness, r: u32) -> Fig7 {
-    fig7_with(suite, harness, r, &Direct)
-}
-
-/// [`fig7`] rendered from `source` (plan builder: [`fig7_requests`]).
+/// Measures Fig 7 over a kernel suite, rendered from `source` (plan
+/// builder: [`fig7_requests`]).
 pub fn fig7_with(
     suite: &[Box<dyn Kernel>],
     harness: &Harness,
@@ -72,7 +68,7 @@ pub fn fig7_with(
     fig7_with_sweep_from(suite, harness, r, &fig7_t_sweep(), source)
 }
 
-/// The runs [`fig7`] consumes, as a plan.
+/// The runs [`fig7_with`] consumes, as a plan.
 pub fn fig7_requests<'k>(
     suite: &'k [Box<dyn Kernel>],
     harness: &Harness,
@@ -105,17 +101,8 @@ pub fn fig7_sweep_requests<'k>(
     reqs
 }
 
-/// Measures Fig 7 with an explicit interval-size sweep.
-pub fn fig7_with_sweep(
-    suite: &[Box<dyn Kernel>],
-    harness: &Harness,
-    r: u32,
-    t_kib: &[usize],
-) -> Fig7 {
-    fig7_with_sweep_from(suite, harness, r, t_kib, &Direct)
-}
-
-/// [`fig7_with_sweep`] rendered from `source`: consumes exactly the runs
+/// Measures Fig 7 with an explicit interval-size sweep, rendered from
+/// `source`: consumes exactly the runs
 /// [`fig7_sweep_requests`] enumerates.
 pub fn fig7_with_sweep_from(
     suite: &[Box<dyn Kernel>],

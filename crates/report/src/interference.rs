@@ -15,11 +15,12 @@
 use std::ops::Add;
 
 use prem_core::{
-    profile_phases, run_baseline, run_prem_with_profile, LocalStore, NoiseModel, PrefetchStrategy,
-    PremConfig,
+    profile_phases, run_baseline, run_prem_traced_reporting_profile, LocalStore, NoiseModel,
+    PrefetchStrategy, PremConfig,
 };
 use prem_gpusim::{CorunnerProfile, PlatformConfig, Scenario};
 use prem_kernels::Kernel;
+use prem_memsim::NullSink;
 
 use crate::table::{f3, pct};
 use crate::Table;
@@ -104,12 +105,13 @@ pub fn interference_sweep(
                 .llc_seed(seed)
                 .with_corunners(mix.clone());
             let mut platform = cfg.build();
-            let prem = run_prem_with_profile(
+            let (prem, _) = run_prem_traced_reporting_profile(
                 &mut platform,
                 &intervals,
                 &prem_cfg,
                 Scenario::Corunners,
                 Some(profiled),
+                &mut NullSink,
             )
             .expect("LLC PREM cannot fail");
             let mut base_platform = cfg.build();

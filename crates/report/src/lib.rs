@@ -4,8 +4,8 @@
 //! (for assertions) plus [`Table`]/chart renderings (for humans):
 //!
 //! * [`fig2`] — SPM vs cache data-movement instruction counts (paper Fig 2)
-//! * [`fig3`] / [`fig5`] — bicg execution-time breakdown, naive (R=1) and
-//!   tamed (R=8) prefetching (paper Figs 3 and 5)
+//! * [`fig3`] — bicg execution-time breakdown, naive (R=1) and tamed
+//!   (R=8) prefetching (paper Figs 3 and 5)
 //! * [`fig4`] — CPMR over the (R, T) grid (paper Fig 4)
 //! * [`fig6`] — per-kernel fair co-scheduling results (paper Fig 6)
 //! * [`fig7`] — average interference sensitivity vs T (paper Fig 7)
@@ -19,16 +19,14 @@
 //! * [`obs`] — phase-timing breakdown of one invocation, rendered from a
 //!   `prem-obs` metrics snapshot (beyond the paper)
 //!
-//! Since the run-plan refactor the simulator-heavy figures (3/4/5/6/7) are
+//! The simulator-heavy figures (3/4/5/6/7) and the what-if sweep are
 //! **plan builders + renderers**: a `*_requests` function enumerates the
 //! figure's canonical [`RunRequest`](prem_harness::RunRequest)s and a
-//! `*_with` twin renders the figure from any
-//! [`RunSource`](prem_harness::RunSource). The classic entry points
-//! (`fig3(kernel, harness)`, …) execute through the direct source and stay
-//! byte-identical; the `figures` binary merges all requested figures into
-//! one deduplicated plan on a
-//! [`PlanExecutor`](prem_harness::PlanExecutor), so cross-figure
-//! duplicates execute once.
+//! `*_with` renderer draws the figure from any
+//! [`RunSource`](prem_harness::RunSource). A standalone figure renders
+//! from a fresh [`PlanExecutor`](prem_harness::PlanExecutor); the
+//! `figures` binary merges all requested figures into one deduplicated
+//! plan on a shared executor, so cross-figure duplicates execute once.
 
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -60,5 +58,5 @@ pub use common::{
 pub use stats::{geomean, over_seeds, Stats};
 pub use table::Table;
 
-/// Re-export: Fig 5 is Fig 3 with the tamed prefetch (R = 8).
-pub use fig3::{fig5, Fig35};
+/// Re-export: Figs 3 and 5 share one result type.
+pub use fig3::Fig35;

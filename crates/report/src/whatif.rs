@@ -13,7 +13,7 @@
 
 use prem_core::{NoiseModel, RunWork};
 use prem_gpusim::Scenario;
-use prem_harness::{Direct, MatrixPolicy, MatrixScenario, PlatformSpec, RunRequest, RunSource};
+use prem_harness::{MatrixPolicy, MatrixScenario, PlatformSpec, RunRequest, RunSource};
 use prem_kernels::Kernel;
 use prem_memsim::KIB;
 
@@ -108,12 +108,8 @@ pub fn whatif_requests(kernel: &dyn Kernel) -> Vec<RunRequest<'_>> {
     reqs
 }
 
-/// Produces the what-if sweep through the direct source.
-pub fn whatif(kernel: &dyn Kernel) -> WhatIf {
-    whatif_with(kernel, &Direct)
-}
-
-/// [`whatif`] rendered from `source`: consumes exactly the runs
+/// Produces the what-if sweep, rendered from `source`: consumes exactly
+/// the runs
 /// [`whatif_requests`] enumerates.
 pub fn whatif_with(kernel: &dyn Kernel, source: &impl RunSource) -> WhatIf {
     let t_bytes = whatif_t_bytes(kernel);
@@ -169,6 +165,7 @@ pub fn whatif_with(kernel: &dyn Kernel, source: &impl RunSource) -> WhatIf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use prem_harness::PlanExecutor;
     use prem_kernels::Bicg;
 
     #[test]
@@ -187,21 +184,21 @@ mod tests {
     }
 
     #[test]
-    fn replayed_plan_renders_identically_to_direct() {
-        use prem_harness::PlanExecutor;
+    fn replayed_plan_renders_identically_to_live() {
         let k = Bicg::new(96, 96);
         let executor = PlanExecutor::new();
         let summary = executor.execute(&whatif_requests(&k), 2);
         assert_eq!(summary.families, 1);
         assert_eq!(summary.executed, 1, "one live representative");
         assert_eq!(summary.replayed, 7 * DEFAULT_SEEDS.len() - 1);
-        assert_eq!(whatif_with(&k, &executor), whatif(&k));
+        let live = whatif_with(&k, &PlanExecutor::new().without_replay());
+        assert_eq!(whatif_with(&k, &executor), live);
     }
 
     #[test]
     fn biased_row_is_the_relative_unit() {
         let k = Bicg::new(96, 96);
-        let w = whatif(&k);
+        let w = whatif_with(&k, &PlanExecutor::new());
         let biased = w.rows.iter().find(|r| r.policy == "biased").unwrap();
         assert!((biased.rel_makespan - 1.0).abs() < 1e-12);
         // LRU cannot self-evict within an interval footprint that fits, so

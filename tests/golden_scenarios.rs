@@ -25,10 +25,10 @@ use prem_report::{
     common::Harness,
     fig2::fig2,
     fig3::{fig3_requests, fig3_with},
-    fig6::{fig6, fig6_followup_requests, fig6_requests, fig6_with},
+    fig6::{fig6_followup_requests, fig6_requests, fig6_with},
     fig7::{fig7_requests, fig7_with},
     run_llc,
-    whatif::{whatif, whatif_requests, whatif_with},
+    whatif::{whatif_requests, whatif_with},
 };
 
 #[test]
@@ -43,7 +43,13 @@ fn fig2_quick_is_byte_identical_to_pre_refactor_golden() {
 
 #[test]
 fn fig6_quick_is_byte_identical_to_pre_refactor_golden() {
-    let f = fig6(&suite_small(), &Harness::quick(), 160, 8);
+    let f = fig6_with(
+        &suite_small(),
+        &Harness::quick(),
+        160,
+        8,
+        &PlanExecutor::new(),
+    );
     assert_eq!(
         f.table().to_csv(),
         include_str!("goldens/fig6_quick.csv"),
@@ -110,8 +116,8 @@ fn merged_plan_regenerates_fig3_fig6_fig7_byte_identical_to_pre_plan_goldens() {
     );
     assert_eq!(
         whatif_with(&bicg, &executor),
-        whatif(&bicg),
-        "the replay-derived what-if sweep drifted from direct execution"
+        whatif_with(&bicg, &PlanExecutor::new().without_replay()),
+        "the replay-derived what-if sweep drifted from live execution"
     );
     assert_eq!(
         executor.executed_runs(),

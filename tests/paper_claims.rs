@@ -4,11 +4,12 @@
 
 use prem_gpu::core::analytic;
 use prem_gpu::gpusim::Scenario;
+use prem_gpu::harness::PlanExecutor;
 use prem_gpu::kernels::{suite_small, Bicg};
 use prem_gpu::memsim::KIB;
-use prem_gpu::report::fig4::fig4_with_sweeps;
-use prem_gpu::report::fig6::fig6;
-use prem_gpu::report::fig7::fig7_with_sweep;
+use prem_gpu::report::fig4::fig4_with_sweeps_from;
+use prem_gpu::report::fig6::fig6_with;
+use prem_gpu::report::fig7::fig7_with_sweep_from;
 use prem_gpu::report::{run_base, run_llc, run_spm, Harness};
 
 fn bicg() -> Bicg {
@@ -20,7 +21,13 @@ fn bicg() -> Bicg {
 #[test]
 fn cpmr_decreases_with_repetition() {
     let kernel = bicg();
-    let grid = fig4_with_sweeps(&kernel, &Harness::quick(), &[1, 2, 4, 8], &[96, 160]);
+    let grid = fig4_with_sweeps_from(
+        &kernel,
+        &Harness::quick(),
+        &[1, 2, 4, 8],
+        &[96, 160],
+        &PlanExecutor::new(),
+    );
     for t in [96usize, 160] {
         let series: Vec<f64> = [1u32, 2, 4, 8]
             .iter()
@@ -43,7 +50,13 @@ fn cpmr_decreases_with_repetition() {
 #[test]
 fn cpmr_knee_at_good_way_capacity() {
     let kernel = Bicg::new(1024, 1024);
-    let grid = fig4_with_sweeps(&kernel, &Harness::quick(), &[8], &[128, 192, 256]);
+    let grid = fig4_with_sweeps_from(
+        &kernel,
+        &Harness::quick(),
+        &[8],
+        &[128, 192, 256],
+        &PlanExecutor::new(),
+    );
     let well_within = grid.at(8, 128).unwrap();
     let at_edge = grid.at(8, 192).unwrap();
     let beyond = grid.at(8, 256).unwrap();
@@ -81,7 +94,7 @@ fn spm_indifferent_baseline_exposed() {
 #[test]
 fn llc_beats_spm() {
     let suite = suite_small();
-    let f6 = fig6(&suite, &Harness::quick(), 160, 8);
+    let f6 = fig6_with(&suite, &Harness::quick(), 160, 8, &PlanExecutor::new());
     assert!(
         f6.avg_spm_over_llc() > 1.3,
         "SPM/LLC only {:.2}",
@@ -109,7 +122,13 @@ fn llc_beats_contended_baseline_at_scale() {
 #[test]
 fn sensitivity_ordering() {
     let suite = suite_small();
-    let f7 = fig7_with_sweep(&suite, &Harness::quick(), 8, &[96, 160, 192]);
+    let f7 = fig7_with_sweep_from(
+        &suite,
+        &Harness::quick(),
+        8,
+        &[96, 160, 192],
+        &PlanExecutor::new(),
+    );
     let s96 = f7.at(96).unwrap();
     let s192 = f7.at(192).unwrap();
     assert!(s96 <= s192 + 0.01, "{s96} vs {s192}");
