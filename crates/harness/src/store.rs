@@ -25,9 +25,10 @@
 //!          | payload checksum u64 LE (FNV-1a + SplitMix64)
 //! ```
 //!
-//! Records are sorted by canonical key when a segment is written, so two
-//! stores holding the same entries are byte-identical regardless of
-//! insertion history.
+//! Records are in append order. The first write of a segment and
+//! [`RunStore::gc`] sort them by canonical key, so a swept store's
+//! segments are byte-identical to any other store holding the same
+//! entries; between sweeps, later appends follow in arrival order.
 //!
 //! ## Integrity: corruption is a hard error
 //!
@@ -40,7 +41,11 @@
 //! records with equal fingerprints but different keys (fingerprint
 //! collision), and two records for one key with different outputs all
 //! surface as [`io::ErrorKind::InvalidData`] /
-//! [`io::ErrorKind::UnexpectedEof`]. Recovery is deletion: remove the
+//! [`io::ErrorKind::UnexpectedEof`]. The record count in the header is
+//! what keeps in-place appends checkable: records written without their
+//! count bump (a writer killed in between) are trailing bytes, and a cut
+//! exactly at a record boundary leaves a count the bytes cannot back.
+//! Recovery is deletion: remove the
 //! cache directory (or the one poisoned segment) and re-run — the store
 //! is a cache of deterministic executions, never the only copy of
 //! anything.
@@ -49,20 +54,27 @@
 //!
 //! Worker processes share one store through per-shard **advisory file
 //! locks** (`seg-x.lock`, never renamed): readers take the lock shared,
-//! writers exclusive. An append re-reads the segment under the exclusive
-//! lock, merges (a raced duplicate of the same key must carry a
+//! writers exclusive. Each loaded shard remembers a **stamp** of the
+//! segment it mirrors — (inode, length, mtime), from `fstat` on the
+//! handle it read. Under the exclusive lock a writer stats the segment;
+//! if the stamp still matches, its in-memory map is current, otherwise
+//! (another process appended, or `gc` replaced the file) it reloads.
+//! It then merges (a raced duplicate of the same key must carry a
 //! bit-identical output — determinism makes that a checkable invariant,
-//! not an assumption), writes the merged segment to a temp file in the
-//! same directory and atomically renames it into place. A concurrent
-//! reader therefore sees either the old or the new segment, never a
-//! partial write.
+//! not an assumption) and writes **only the new records**: at the old
+//! end of file, followed by a rewrite of the header's record count and
+//! one `sync_data`. A shard with no segment yet is written whole, sorted,
+//! to a temp file in the same directory that is synced and atomically
+//! renamed into place, as is every segment `gc` rewrites. Readers hold
+//! the shared lock while they read, so they never see a partial write.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
+use std::time::SystemTime;
 
 use prem_core::{RunOutput, CODEC_VERSION};
 use prem_obs::{MetricsSink, NullMetrics, Span};
@@ -156,6 +168,54 @@ impl ShardMap {
     }
 }
 
+/// Identity of the segment file a loaded shard mirrors. Every append
+/// grows the file and every replacement gives it a new inode, so a
+/// matching stamp means nobody has written the segment since.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Stamp {
+    ino: u64,
+    len: u64,
+    mtime: Option<SystemTime>,
+}
+
+impl Stamp {
+    fn of(meta: &fs::Metadata) -> Stamp {
+        #[cfg(unix)]
+        let ino = std::os::unix::fs::MetadataExt::ino(meta);
+        #[cfg(not(unix))]
+        let ino = 0;
+        Stamp {
+            ino,
+            len: meta.len(),
+            mtime: meta.modified().ok(),
+        }
+    }
+}
+
+/// A shard's in-memory image: its records plus the stamp of the segment
+/// they were read from (`None` when no segment file existed).
+#[derive(Debug, Default)]
+struct Shard {
+    map: ShardMap,
+    stamp: Option<Stamp>,
+}
+
+/// Appends one encoded record for (`key`, `output`) to `bytes`.
+fn encode_record(bytes: &mut Vec<u8>, key: &str, output: &RunOutput) {
+    bytes.extend_from_slice(&fingerprint(key).to_le_bytes());
+    write_varint(bytes, key.len() as u64).expect("writing to a Vec cannot fail");
+    bytes.extend_from_slice(key.as_bytes());
+    let payload = output.encode();
+    write_varint(bytes, payload.len() as u64).expect("writing to a Vec cannot fail");
+    bytes.extend_from_slice(&payload);
+    bytes.extend_from_slice(&fingerprint_bytes(&payload).to_le_bytes());
+}
+
+/// The segment header's record count, checked against its `u32` field.
+fn header_count(records: usize, path: &Path) -> io::Result<u32> {
+    u32::try_from(records).map_err(|_| bad_data(path, "record count overflows the segment header"))
+}
+
 /// Aggregate shape of a store, as reported by [`RunStore::stats`] and
 /// [`RunStore::verify`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -214,9 +274,12 @@ impl fmt::Display for GcReport {
 /// [module docs](self) for format, integrity and locking.
 ///
 /// Shards are loaded lazily (first lookup touching a shard parses its
-/// segment, validating every record) and cached in memory; appends merge
-/// with the on-disk state under an exclusive advisory lock, so multiple
-/// worker processes can share one directory.
+/// segment, validating every record) and cached in memory together with
+/// a stamp of the segment they mirror. Appends run under an exclusive
+/// advisory lock: they reload a shard only when its segment's stamp has
+/// changed (another process wrote it), then write just the new records
+/// in place, so multiple worker processes can share one directory and
+/// an append costs O(new records), not O(segment).
 ///
 /// ```
 /// use prem_harness::RunStore;
@@ -230,7 +293,7 @@ impl fmt::Display for GcReport {
 #[derive(Debug)]
 pub struct RunStore {
     dir: PathBuf,
-    shards: Vec<Mutex<Option<ShardMap>>>,
+    shards: Vec<Mutex<Option<Shard>>>,
 }
 
 impl RunStore {
@@ -280,8 +343,9 @@ impl RunStore {
             .open(self.lock_path(idx))
     }
 
-    /// Parses one segment file's bytes, validating every record.
-    fn parse_segment(&self, idx: usize, bytes: &[u8], path: &Path) -> io::Result<ShardMap> {
+    /// Parses one segment file's bytes, validating every record. The
+    /// flag says whether the records are in strictly ascending key order.
+    fn parse_segment(&self, idx: usize, bytes: &[u8], path: &Path) -> io::Result<(ShardMap, bool)> {
         let mut r = bytes;
         let mut header = [0u8; 12];
         r.read_exact(&mut header)?;
@@ -323,6 +387,8 @@ impl RunStore {
             return Err(bad_data(path, "unreasonable record count"));
         }
         let mut map = ShardMap::default();
+        let mut sorted = true;
+        let mut prev_key = String::new();
         for _ in 0..count {
             let mut fp_bytes = [0u8; 8];
             r.read_exact(&mut fp_bytes)?;
@@ -369,6 +435,10 @@ impl RunStore {
             }
             let output = RunOutput::decode(payload)
                 .map_err(|e| bad_data(path, format!("undecodable payload for key {key:?}: {e}")))?;
+            if !map.by_key.is_empty() && key <= prev_key {
+                sorted = false;
+            }
+            prev_key.clone_from(&key);
             if !map.insert(fp, key, output, path)? {
                 return Err(bad_data(path, "duplicate record within one segment"));
             }
@@ -376,22 +446,27 @@ impl RunStore {
         if !r.is_empty() {
             return Err(bad_data(path, "trailing bytes after final record"));
         }
-        Ok(map)
+        Ok((map, sorted))
     }
 
-    /// Reads and parses shard `idx` from disk; the caller holds the
-    /// shard's advisory lock (shared or exclusive). An absent segment is
-    /// an empty shard. Actual segment reads are metered: one
+    /// Reads and parses shard `idx` from disk, stamping the image with
+    /// the `fstat` of the handle it read; the caller holds the shard's
+    /// advisory lock (shared or exclusive). An absent segment is an empty
+    /// shard with no stamp. The flag is [`RunStore::parse_segment`]'s
+    /// key-order flag. Actual segment reads are metered: one
     /// `store.segment_loads` count, `store.bytes_read` (total and
     /// per-shard) and a `store.load_ns` latency sample.
-    fn load_from_disk<M: MetricsSink>(&self, idx: usize, metrics: &M) -> io::Result<ShardMap> {
+    fn load_from_disk<M: MetricsSink>(&self, idx: usize, metrics: &M) -> io::Result<(Shard, bool)> {
         let _load = Span::start(metrics, "store.load_ns");
         let path = self.segment_path(idx);
-        let bytes = match fs::read(&path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(ShardMap::default()),
+        let mut file = match File::open(&path) {
+            Ok(file) => file,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok((Shard::default(), true)),
             Err(e) => return Err(e),
         };
+        let stamp = Stamp::of(&file.metadata()?);
+        let mut bytes = Vec::with_capacity(stamp.len as usize);
+        file.read_to_end(&mut bytes)?;
         metrics.add("store.segment_loads", 1);
         metrics.add("store.bytes_read", bytes.len() as u64);
         if metrics.enabled() {
@@ -401,24 +476,39 @@ impl RunStore {
                 bytes.len() as u64,
             );
         }
-        self.parse_segment(idx, &bytes, &path)
+        let (map, sorted) = self.parse_segment(idx, &bytes, &path)?;
+        let shard = Shard {
+            map,
+            stamp: Some(stamp),
+        };
+        Ok((shard, sorted))
     }
 
-    /// Serializes `map` and atomically replaces shard `idx`'s segment
-    /// (write to a temp file in the same directory, fsync, rename). An
-    /// empty map removes the segment file instead. Metered: written
-    /// bytes land in `store.bytes_written` (total and per-shard).
+    /// Counts `n` written bytes of shard `idx` into `store.bytes_written`
+    /// (total and per-shard).
+    fn meter_written<M: MetricsSink>(idx: usize, n: usize, metrics: &M) {
+        metrics.add("store.bytes_written", n as u64);
+        if metrics.enabled() {
+            metrics.add(&format!("store.shard.{idx:x}.bytes_written"), n as u64);
+        }
+    }
+
+    /// Serializes `map` sorted by key and atomically replaces shard
+    /// `idx`'s segment (write to a temp file in the same directory, fsync,
+    /// rename), returning the new segment's stamp. An empty map removes
+    /// the segment file instead (stamp `None`). Metered as
+    /// [`RunStore::meter_written`].
     fn write_segment_metered<M: MetricsSink>(
         &self,
         idx: usize,
         map: &ShardMap,
         metrics: &M,
-    ) -> io::Result<()> {
+    ) -> io::Result<Option<Stamp>> {
         let path = self.segment_path(idx);
         if map.by_key.is_empty() {
             return match fs::remove_file(&path) {
                 Err(e) if e.kind() != io::ErrorKind::NotFound => Err(e),
-                _ => Ok(()),
+                _ => Ok(None),
             };
         }
         let mut keys: Vec<&String> = map.by_key.keys().collect();
@@ -426,34 +516,55 @@ impl RunStore {
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&STORE_MAGIC);
         bytes.extend_from_slice(&[STORE_VERSION, CODEC_VERSION, idx as u8, 0]);
-        let count = u32::try_from(map.by_key.len())
-            .map_err(|_| bad_data(&path, "record count overflows the segment header"))?;
-        bytes.extend_from_slice(&count.to_le_bytes());
+        bytes.extend_from_slice(&header_count(map.by_key.len(), &path)?.to_le_bytes());
         for key in keys {
-            bytes.extend_from_slice(&fingerprint(key).to_le_bytes());
-            write_varint(&mut bytes, key.len() as u64).expect("writing to a Vec cannot fail");
-            bytes.extend_from_slice(key.as_bytes());
-            let payload = map.by_key[key].encode();
-            write_varint(&mut bytes, payload.len() as u64).expect("writing to a Vec cannot fail");
-            let checksum = fingerprint_bytes(&payload);
-            bytes.extend_from_slice(&payload);
-            bytes.extend_from_slice(&checksum.to_le_bytes());
+            encode_record(&mut bytes, key, &map.by_key[key]);
         }
-        metrics.add("store.bytes_written", bytes.len() as u64);
-        if metrics.enabled() {
-            metrics.add(
-                &format!("store.shard.{idx:x}.bytes_written"),
-                bytes.len() as u64,
-            );
-        }
+        Self::meter_written(idx, bytes.len(), metrics);
         let tmp = self
             .dir
             .join(format!("seg-{idx:x}.tmp.{}", std::process::id()));
         let mut file = File::create(&tmp)?;
         file.write_all(&bytes)?;
         file.sync_all()?;
+        // Renaming keeps the inode, length and mtime stamped here.
+        let stamp = Stamp::of(&file.metadata()?);
         drop(file);
-        fs::rename(&tmp, &path)
+        fs::rename(&tmp, &path)?;
+        Ok(Some(stamp))
+    }
+
+    /// Appends the already-encoded `records` to shard `idx`'s existing
+    /// segment, whose stamp is `stamp`: writes them at the old end of
+    /// file, rewrites the header's record count from `old_count` to
+    /// `count`, and syncs once. Returns the grown segment's stamp. On
+    /// failure it tries to put the old length and count back, so an I/O
+    /// error (a full disk, say) does not leave trailing bytes behind.
+    fn append_in_place<M: MetricsSink>(
+        &self,
+        idx: usize,
+        stamp: Stamp,
+        records: &[u8],
+        (old_count, count): (u32, u32),
+        metrics: &M,
+    ) -> io::Result<Stamp> {
+        let mut file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(self.segment_path(idx))?;
+        let write = |file: &mut File, records: &[u8], count: u32| -> io::Result<Stamp> {
+            file.seek(SeekFrom::Start(stamp.len))?;
+            file.write_all(records)?;
+            file.seek(SeekFrom::Start(8))?;
+            file.write_all(&count.to_le_bytes())?;
+            file.sync_data()?;
+            Ok(Stamp::of(&file.metadata()?))
+        };
+        Self::meter_written(idx, records.len() + 4, metrics);
+        write(&mut file, records, count).inspect_err(|_| {
+            let _ = file.set_len(stamp.len);
+            let _ = write(&mut file, &[], old_count);
+        })
     }
 
     /// Runs `f` on shard `idx`'s in-memory map, loading it from disk
@@ -474,9 +585,9 @@ impl RunStore {
             }
             let loaded = self.load_from_disk(idx, metrics);
             let _ = File::unlock(&lock);
-            *guard = Some(loaded?);
+            *guard = Some(loaded?.0);
         }
-        Ok(f(guard.as_ref().expect("shard loaded above")))
+        Ok(f(&guard.as_ref().expect("shard loaded above").map))
     }
 
     /// Looks up the output recorded for `key`, loading the key's shard on
@@ -484,9 +595,11 @@ impl RunStore {
     ///
     /// The in-memory image is a snapshot: records appended by *another*
     /// process after this process first loaded the shard are not visible
-    /// until a fresh [`RunStore::open`] (or [`RunStore::verify`], which
-    /// re-reads). Missing a racing writer's record is safe — the re-execution
-    /// it causes appends a bit-identical output, which the merge accepts.
+    /// until this handle next appends to the shard (which reloads a
+    /// segment whose stamp changed), a fresh [`RunStore::open`] or
+    /// [`RunStore::verify`]. Missing a racing writer's record is safe — the
+    /// re-execution it causes appends a bit-identical output, which the
+    /// merge accepts.
     ///
     /// # Errors
     ///
@@ -526,9 +639,12 @@ impl RunStore {
 
     /// Durably records `entries` (canonical key → output), returning how
     /// many were new. Entries are grouped by shard; each touched shard is
-    /// re-read from disk under an exclusive advisory lock, merged and
-    /// atomically rewritten, so concurrent appenders from other processes
-    /// cannot lose records.
+    /// merged under an exclusive advisory lock — reloaded first if another
+    /// process has written its segment since this handle last read it —
+    /// and only its new records are written, appended in place (see the
+    /// [module docs](self)), so concurrent appenders from other processes
+    /// cannot lose records. A shard's in-memory image is dropped when its
+    /// append fails, so the next touch reloads it from disk.
     ///
     /// A key already recorded with a bit-identical output is skipped (two
     /// processes raced on the same deterministic run); one recorded with
@@ -574,18 +690,43 @@ impl RunStore {
                 lock.lock()?;
             }
             let result = (|| {
-                let mut merged = self.load_from_disk(idx, metrics)?;
                 let path = self.segment_path(idx);
-                let mut added = 0;
+                let on_disk = match fs::metadata(&path) {
+                    Ok(meta) => Some(Stamp::of(&meta)),
+                    Err(e) if e.kind() == io::ErrorKind::NotFound => None,
+                    Err(e) => return Err(e),
+                };
+                // Taken, not borrowed: an error below leaves `None`.
+                let mut shard = match guard.take() {
+                    Some(shard) if shard.stamp == on_disk => shard,
+                    _ => self.load_from_disk(idx, metrics)?.0,
+                };
+                let mut new = Vec::new();
                 for (key, output) in batch {
-                    if merged.insert(fingerprint(key), key.to_string(), output.clone(), &path)? {
-                        added += 1;
+                    if shard
+                        .map
+                        .insert(fingerprint(key), key.to_string(), output.clone(), &path)?
+                    {
+                        new.push((key, output));
                     }
                 }
-                if added > 0 {
-                    self.write_segment_metered(idx, &merged, metrics)?;
+                if !new.is_empty() {
+                    shard.stamp = match shard.stamp {
+                        None => self.write_segment_metered(idx, &shard.map, metrics)?,
+                        Some(stamp) => {
+                            new.sort_unstable_by_key(|&(key, _)| key);
+                            let mut records = Vec::new();
+                            for (key, output) in &new {
+                                encode_record(&mut records, key, output);
+                            }
+                            let count = header_count(shard.map.by_key.len(), &path)?;
+                            let counts = (count - new.len() as u32, count);
+                            Some(self.append_in_place(idx, stamp, &records, counts, metrics)?)
+                        }
+                    };
                 }
-                *guard = Some(merged);
+                let added = new.len();
+                *guard = Some(shard);
                 Ok::<usize, io::Error>(added)
             })();
             let _ = File::unlock(&lock);
@@ -659,15 +800,20 @@ impl RunStore {
             lock.lock_shared()?;
             let loaded = self.load_from_disk(idx, &NullMetrics);
             let _ = File::unlock(&lock);
-            *guard = Some(loaded?);
+            *guard = Some(loaded?.0);
         }
         self.stats()
     }
 
-    /// Rewrites every segment keeping only records whose canonical key
-    /// satisfies `keep`, under the same per-shard exclusive locking and
-    /// atomic replacement as [`RunStore::append`]. Empty segments are
-    /// deleted.
+    /// Sweeps every shard under the same per-shard exclusive locking as
+    /// [`RunStore::append`], keeping only records whose canonical key
+    /// satisfies `keep`. A segment that lost records, or whose records
+    /// are out of key order after in-place appends, is rewritten sorted
+    /// and atomically replaced; one left empty is deleted. So after a
+    /// sweep, stores holding the same entries have byte-identical
+    /// segments. The sweep also deletes the shard's orphaned temp files
+    /// (`seg-x.tmp.*`, left by a writer killed before its rename): a
+    /// live one only exists while its writer holds the lock gc holds.
     ///
     /// # Errors
     ///
@@ -679,33 +825,53 @@ impl RunStore {
             let lock = self.lock_file(idx)?;
             lock.lock()?;
             let result = (|| {
+                guard.take();
+                self.remove_temp_files(idx)?;
                 let path = self.segment_path(idx);
                 if let Ok(meta) = fs::metadata(&path) {
                     report.bytes_before += meta.len();
                 }
-                let loaded = self.load_from_disk(idx, &NullMetrics)?;
+                let (mut shard, sorted) = self.load_from_disk(idx, &NullMetrics)?;
+                let before = shard.map.by_key.len();
                 let mut kept = ShardMap::default();
-                for (key, output) in &loaded.by_key {
-                    if keep(key) {
-                        kept.insert(fingerprint(key), key.clone(), output.clone(), &path)?;
+                for (key, output) in shard.map.by_key {
+                    if keep(&key) {
+                        kept.insert(fingerprint(&key), key, output, &path)?;
                     } else {
                         report.removed += 1;
                     }
                 }
                 report.kept += kept.by_key.len();
-                if kept.by_key.len() != loaded.by_key.len() {
-                    self.write_segment_metered(idx, &kept, &NullMetrics)?;
+                if kept.by_key.len() != before || !sorted {
+                    shard.stamp = self.write_segment_metered(idx, &kept, &NullMetrics)?;
                 }
                 if let Ok(meta) = fs::metadata(&path) {
                     report.bytes_after += meta.len();
                 }
-                *guard = Some(kept);
+                shard.map = kept;
+                *guard = Some(shard);
                 Ok::<(), io::Error>(())
             })();
             let _ = File::unlock(&lock);
             result?;
         }
         Ok(report)
+    }
+
+    /// Deletes shard `idx`'s temp files (`seg-x.tmp.*`); the caller holds
+    /// the shard's exclusive lock, so none of them is being written.
+    fn remove_temp_files(&self, idx: usize) -> io::Result<()> {
+        let prefix = format!("seg-{idx:x}.tmp.");
+        for entry in fs::read_dir(&self.dir)? {
+            let entry = entry?;
+            if entry.file_name().to_string_lossy().starts_with(&prefix) {
+                match fs::remove_file(entry.path()) {
+                    Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
+                    _ => {}
+                }
+            }
+        }
+        Ok(())
     }
 }
 
@@ -716,6 +882,7 @@ mod tests {
     use prem_gpusim::{PlatformConfig, Scenario};
     use prem_kernels::{Bicg, Kernel};
     use prem_memsim::KIB;
+    use prem_obs::Registry;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// A fresh per-test directory under the system temp dir.
@@ -770,37 +937,91 @@ mod tests {
         fs::remove_dir_all(&dir).ok();
     }
 
+    /// The first `n` keys of the form `key|<i>` filed under shard `idx`,
+    /// in ascending key order.
+    fn keys_in_shard(idx: usize, n: usize) -> Vec<String> {
+        let mut keys: Vec<String> = (0..)
+            .map(|i| format!("key|{i}"))
+            .filter(|key| RunStore::shard_of(key) == idx)
+            .take(n)
+            .collect();
+        keys.sort();
+        keys
+    }
+
+    /// Whether shard `idx`'s segment on disk holds its records in key
+    /// order.
+    fn segment_sorted(store: &RunStore, idx: usize) -> bool {
+        store.load_from_disk(idx, &NullMetrics).expect("load").1
+    }
+
     #[test]
-    fn segment_bytes_are_canonical_regardless_of_insertion_order() {
-        let dir_ab = scratch_dir("canon-ab");
-        let dir_ba = scratch_dir("canon-ba");
-        let (a, b) = (sample_output(1), sample_output(2));
-        // Find two keys landing in the same shard so order could matter.
-        let base = "key|";
-        let mut same_shard = Vec::new();
-        for i in 0.. {
-            let key = format!("{base}{i}");
-            if RunStore::shard_of(&key) == 0 {
-                same_shard.push(key);
-                if same_shard.len() == 2 {
-                    break;
-                }
-            }
+    fn equal_contents_match_and_gc_makes_segments_byte_identical() {
+        let dirs = [
+            scratch_dir("order-fwd"),
+            scratch_dir("order-rev"),
+            scratch_dir("order-batch"),
+        ];
+        let keys = keys_in_shard(0, 3);
+        let outputs: Vec<RunOutput> = (1..=3).map(sample_output).collect();
+        let entries: Vec<(&str, &RunOutput)> =
+            keys.iter().map(String::as_str).zip(&outputs).collect();
+        let [fwd, rev, batch] = dirs
+            .each_ref()
+            .map(|dir| RunStore::open(dir).expect("open"));
+        // One record per append: ascending into `fwd`, descending into
+        // `rev`, so `rev`'s in-place appends land out of key order.
+        for &entry in &entries {
+            fwd.append([entry]).expect("append");
         }
-        let (k1, k2) = (same_shard[0].as_str(), same_shard[1].as_str());
-        let store_ab = RunStore::open(&dir_ab).expect("open");
-        store_ab.append([(k1, &a)]).expect("append");
-        store_ab.append([(k2, &b)]).expect("append");
-        let store_ba = RunStore::open(&dir_ba).expect("open");
-        store_ba.append([(k2, &b)]).expect("append");
-        store_ba.append([(k1, &a)]).expect("append");
+        for &entry in entries.iter().rev() {
+            rev.append([entry]).expect("append");
+        }
+        // One batch into an empty shard is written sorted.
+        batch.append(entries.iter().rev().copied()).expect("append");
+        assert!(segment_sorted(&batch, 0));
+        assert!(!segment_sorted(&rev, 0));
+
+        for store in [&fwd, &rev, &batch] {
+            let fresh = RunStore::open(store.dir()).expect("reopen");
+            for &(key, output) in &entries {
+                assert_eq!(fresh.get(key).expect("get").as_ref(), Some(output));
+            }
+            assert_eq!(fresh.stats().expect("stats"), fwd.stats().expect("stats"));
+        }
+
+        for store in [&fwd, &rev, &batch] {
+            let report = store.gc(|_| true).expect("gc");
+            assert_eq!((report.kept, report.removed), (3, 0));
+        }
+        let bytes = fs::read(fwd.segment_path(0)).expect("read fwd");
+        for store in [&rev, &batch] {
+            assert_eq!(
+                fs::read(store.segment_path(0)).expect("read"),
+                bytes,
+                "equal contents must give byte-identical segments after gc"
+            );
+        }
+        // The sweep reloaded `rev`; it still appends in place afterwards.
+        let extra = keys_in_shard(0, 4)
+            .into_iter()
+            .find(|key| !keys.contains(key))
+            .expect("a fourth key");
         assert_eq!(
-            fs::read(store_ab.segment_path(0)).expect("read ab"),
-            fs::read(store_ba.segment_path(0)).expect("read ba"),
-            "same content must produce byte-identical segments"
+            rev.append([(extra.as_str(), &outputs[0])]).expect("append"),
+            1
         );
-        fs::remove_dir_all(&dir_ab).ok();
-        fs::remove_dir_all(&dir_ba).ok();
+        assert_eq!(
+            RunStore::open(rev.dir())
+                .expect("reopen")
+                .verify()
+                .expect("verify")
+                .records,
+            4
+        );
+        for dir in &dirs {
+            fs::remove_dir_all(dir).ok();
+        }
     }
 
     #[test]
@@ -899,6 +1120,158 @@ mod tests {
         let fresh = RunStore::open(&dir).expect("reopen");
         assert!(fresh.get("dead|1").expect("get").is_none());
         assert_eq!(fresh.stats().expect("stats").records, 1);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn in_place_appends_keep_truncation_and_trailing_bytes_detectable() {
+        let dir = scratch_dir("in-place");
+        let keys = keys_in_shard(0, 2);
+        let store = RunStore::open(&dir).expect("open");
+        let seg = store.segment_path(0);
+        store
+            .append([(keys[0].as_str(), &sample_output(1))])
+            .expect("first write");
+        let before = fs::read(&seg).expect("read");
+        store
+            .append([(keys[1].as_str(), &sample_output(2))])
+            .expect("in place");
+        let after = fs::read(&seg).expect("read");
+        assert_eq!(after[..8], before[..8]);
+        assert_eq!(after[8..12], 2u32.to_le_bytes(), "count bumped");
+        assert_eq!(
+            after[12..before.len()],
+            before[12..],
+            "old records untouched"
+        );
+
+        // Cut exactly at the last record boundary: the count (2) can no
+        // longer be backed.
+        fs::write(&seg, &after[..before.len()]).expect("truncate");
+        let err = RunStore::open(&dir)
+            .expect("open")
+            .get(&keys[0])
+            .expect_err("truncated");
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+
+        // The appended record without its count bump: trailing bytes.
+        let mut stale_count = after.clone();
+        stale_count[8..12].copy_from_slice(&1u32.to_le_bytes());
+        fs::write(&seg, &stale_count).expect("restore old count");
+        let err = RunStore::open(&dir)
+            .expect("open")
+            .get(&keys[0])
+            .expect_err("trailing");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("trailing"), "{err}");
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_writer_reloads_when_another_handle_appended() {
+        let dir = scratch_dir("two-handles");
+        let keys = keys_in_shard(0, 3);
+        let a = RunStore::open(&dir).expect("open a");
+        let b = RunStore::open(&dir).expect("open b");
+        a.append([(keys[0].as_str(), &sample_output(1))])
+            .expect("a appends");
+        assert_eq!(a.get(&keys[1]).expect("a loaded"), None);
+        let b_output = sample_output(2);
+        b.append([(keys[1].as_str(), &b_output)])
+            .expect("b appends");
+
+        let registry = Registry::new();
+        let added = a
+            .append_metered([(keys[2].as_str(), &sample_output(3))], &registry)
+            .expect("a appends again");
+        assert_eq!(added, 1);
+        assert_eq!(
+            registry.snapshot().counter("store.segment_loads"),
+            Some(1),
+            "a reloads"
+        );
+        assert_eq!(a.get(&keys[1]).expect("get"), Some(b_output.clone()));
+        // B's record is still checked against, and its raced duplicate
+        // merges silently.
+        let err = a
+            .append([(keys[1].as_str(), &sample_output_with(RunWork::Baseline, 2))])
+            .expect_err("conflicting output for b's key");
+        assert!(err.to_string().contains("conflicting outputs"), "{err}");
+        assert_eq!(
+            a.append([(keys[1].as_str(), &b_output)])
+                .expect("raced duplicate"),
+            0
+        );
+
+        let stats = RunStore::open(&dir)
+            .expect("open")
+            .verify()
+            .expect("verify");
+        assert_eq!((stats.records, stats.shard_records[0]), (3, 3));
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn an_append_to_a_populated_shard_writes_about_one_record() {
+        let dir = scratch_dir("o-record");
+        let keys = keys_in_shard(0, 9);
+        let store = RunStore::open(&dir).expect("open");
+        let outputs: Vec<RunOutput> = (0..8).map(sample_output).collect();
+        store
+            .append(keys.iter().map(String::as_str).zip(&outputs))
+            .expect("populate");
+        let output = sample_output(8);
+        let mut record = Vec::new();
+        encode_record(&mut record, &keys[8], &output);
+
+        let registry = Registry::new();
+        store
+            .append_metered([(keys[8].as_str(), &output)], &registry)
+            .expect("append");
+        let snapshot = registry.snapshot();
+        let written = snapshot
+            .counter("store.bytes_written")
+            .expect("bytes written");
+        assert_eq!(
+            written,
+            record.len() as u64 + 4,
+            "one record plus the count"
+        );
+        assert!(written < 2 * record.len() as u64);
+        assert_eq!(snapshot.counter("store.segment_loads"), None, "no reload");
+        assert_eq!(
+            RunStore::open(&dir)
+                .expect("open")
+                .verify()
+                .expect("verify")
+                .records,
+            9
+        );
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn gc_removes_orphaned_temp_files() {
+        let dir = scratch_dir("orphans");
+        let store = RunStore::open(&dir).expect("open");
+        let key = keys_in_shard(3, 1).pop().expect("key");
+        store
+            .append([(key.as_str(), &sample_output(1))])
+            .expect("append");
+        let orphans = [dir.join("seg-3.tmp.4242"), dir.join("seg-a.tmp.7")];
+        for orphan in &orphans {
+            fs::write(orphan, b"half-written segment").expect("plant");
+        }
+        let stats = RunStore::open(&dir).expect("open").stats().expect("stats");
+        assert_eq!((stats.records, stats.segments), (1, 1));
+        let bytes = fs::metadata(store.segment_path(3)).expect("segment").len();
+        assert_eq!(stats.bytes, bytes, "temp files are not counted");
+
+        store.gc(|_| true).expect("gc");
+        for orphan in &orphans {
+            assert!(!orphan.exists(), "{} survived gc", orphan.display());
+        }
+        assert_eq!(store.verify().expect("verify"), stats);
         fs::remove_dir_all(&dir).ok();
     }
 }
