@@ -18,23 +18,29 @@
 //!
 //! Unknown subcommands exit nonzero with the artifact listing.
 //!
-//! The simulator-heavy figures (3/4/5/6/7) are executed as **one merged,
-//! deduplicated run plan**: their `*_requests` builders are concatenated,
-//! the [`prem_harness::PlanExecutor`] elides every request two figures
-//! share (fig3/fig5/fig6/fig7 overlap heavily on baselines and LLC grid
-//! points) and executes the unique frontier on the work-claiming pool at
-//! *run* granularity — so a parallel run is no longer bounded by the
-//! largest single figure. The unique frontier is further partitioned into
-//! **derivation families** (requests differing only in LLC policy/seed):
-//! one representative per family executes live with what-if capture on
-//! and every sibling's output is derived by replay, bit-identical by the
-//! plan-replay equivalence suite (`--no-replay` opts out). A
+//! Every simulator-heavy artifact — figures 3/4/5/6/7, the what-if sweep,
+//! the four ablations and the co-runner sweep — is executed as **one
+//! merged, deduplicated run plan**: their `*_requests` builders are
+//! concatenated, the [`prem_harness::PlanExecutor`] elides every request
+//! two artifacts share (fig3/fig5/fig6/fig7 overlap heavily on baselines
+//! and LLC grid points; the bias ablation's weight-3 rows are the policy
+//! ablation's biased-random runs) and executes the unique frontier on the
+//! work-claiming pool at *run* granularity — so a parallel run is no
+//! longer bounded by the largest single artifact. The unique frontier is
+//! further partitioned into **derivation families** (requests differing
+//! only in LLC policy/seed): one representative per family executes live
+//! with what-if capture on and every sibling's output is derived by
+//! replay, bit-identical by the plan-replay equivalence suite
+//! (`--no-replay` opts out). A
 //! per-invocation plan summary (unique runs, duplicates elided, cache
 //! hits, replays, families) is printed to stderr; CI asserts the elision
-//! count is nonzero and, on the quick merged plan, `replayed > 0`. The remaining artifacts run as
-//! job-granular pool tasks exactly as before (`PREM_WORKERS` overrides
-//! the worker count); outputs are collected and written in a fixed order,
-//! so the artifacts are byte-identical to a sequential run.
+//! count is nonzero and, on the quick merged plan, `replayed > 0`. The
+//! artifacts then render as job-granular pool tasks (`PREM_WORKERS`
+//! overrides the worker count): the plan-based ones as pure cache
+//! traffic, while fig1, fig2 and mei — the only generators still outside
+//! the plan, a few tens of milliseconds together — compute their own runs.
+//! Outputs are collected and written in a fixed order, so the artifacts
+//! are byte-identical to a sequential run.
 //!
 //! The plan executor is backed by the **persistent run cache**
 //! (`results/.runcache/` by default — see `CACHING.md`): every live
@@ -209,10 +215,12 @@ const JOBS: &[Job] = &[
         "interference_sweep.{txt,csv} — co-runner count sweep",
         |ctx| {
             let t0 = Instant::now();
-            let rows = interference_sweep_rows(ctx);
+            let (t, r, seed, max) = SWEEP;
+            let rows =
+                interference::interference_sweep_with(&ctx.bicg, t, r, seed, max, &ctx.executor);
             vec![Artifact::from_table(
                 "interference_sweep",
-                &interference::sweep_table(&rows, "bicg", 160, 8),
+                &interference::sweep_table(&rows, "bicg", t / KIB, r),
                 "",
                 t0,
             )]
@@ -233,43 +241,39 @@ const JOBS: &[Job] = &[
         |ctx| {
             // Each ablation gets its own t0 so the log lines report per-artifact
             // cost, not cumulative elapsed time.
+            let (bicg, harness, x) = (&ctx.bicg, &ctx.harness, &ctx.executor);
+            let t_kib = ABLATION_T / KIB;
             let t0 = Instant::now();
             let mut out = Vec::new();
-            let rows = ablation::policy_ablation(&ctx.bicg, &ctx.harness, 160 * KIB, &[1, 8]);
+            let rows = ablation::policy_ablation_with(bicg, harness, ABLATION_T, &ABLATION_RS, x);
             out.push(Artifact::from_table(
                 "ablation_policy",
-                &ablation::policy_table(&rows, 160),
-                "",
-                t0,
-            ));
-            let t0 = Instant::now();
-            let rows = ablation::msg_ablation(
-                &ctx.bicg,
-                &ctx.harness,
-                96 * KIB,
-                160 * KIB,
-                &[5.0, 10.0, 20.0, 50.0, 100.0],
-            );
-            out.push(Artifact::from_table(
-                "ablation_msg",
-                &ablation::msg_table(&rows, 96, 160),
-                "",
-                t0,
-            ));
-            let t0 = Instant::now();
-            let rows = ablation::adaptive_ablation(&ctx.bicg, &ctx.harness, 160 * KIB);
-            out.push(Artifact::from_table(
-                "ablation_adaptive",
-                &ablation::adaptive_table(&rows, 160),
+                &ablation::policy_table(&rows, t_kib),
                 "",
                 t0,
             ));
             let t0 = Instant::now();
             let rows =
-                ablation::bias_ablation(&ctx.bicg, &ctx.harness, 160 * KIB, &[1, 2, 3, 5, 9]);
+                ablation::msg_ablation_with(bicg, harness, MSG_T_SPM, ABLATION_T, &MSG_US, x);
+            out.push(Artifact::from_table(
+                "ablation_msg",
+                &ablation::msg_table(&rows, MSG_T_SPM / KIB, t_kib),
+                "",
+                t0,
+            ));
+            let t0 = Instant::now();
+            let rows = ablation::adaptive_ablation_with(bicg, harness, ABLATION_T, x);
+            out.push(Artifact::from_table(
+                "ablation_adaptive",
+                &ablation::adaptive_table(&rows, t_kib),
+                "",
+                t0,
+            ));
+            let t0 = Instant::now();
+            let rows = ablation::bias_ablation_with(bicg, harness, ABLATION_T, &BIAS_WEIGHTS, x);
             out.push(Artifact::from_table(
                 "ablation_bias",
-                &ablation::bias_table(&rows, 160),
+                &ablation::bias_table(&rows, t_kib),
                 "",
                 t0,
             ));
@@ -278,10 +282,47 @@ const JOBS: &[Job] = &[
     ),
 ];
 
-/// The co-runner sweep over 0–6 co-runners per profile on the context's
-/// bicg instance (reduced problem size under `quick`).
-fn interference_sweep_rows(ctx: &Ctx) -> Vec<interference::SweepRow> {
-    interference::interference_sweep(&ctx.bicg, 160 * KIB, 8, 11, 6)
+// The ablation parameters: one source for the `ablation` job's renders,
+// its merged-plan requests and the `cache gc` live set.
+
+/// The ablations' (LLC) interval size: the paper's best configuration.
+const ABLATION_T: usize = 160 * KIB;
+/// The policy ablation's prefetch repetition factors.
+const ABLATION_RS: [u32; 2] = [1, 8];
+/// The MSG ablation's SPM interval size.
+const MSG_T_SPM: usize = 96 * KIB;
+/// The MSG ablation's sync granularities (µs).
+const MSG_US: [f64; 5] = [5.0, 10.0, 20.0, 50.0, 100.0];
+/// The bias ablation's bad-way victim weights.
+const BIAS_WEIGHTS: [u32; 5] = [1, 2, 3, 5, 9];
+
+/// The runs of all four ablations on `bicg`, as one plan.
+fn ablation_requests<'k>(bicg: &'k Bicg, harness: &Harness) -> Vec<RunRequest<'k>> {
+    let mut reqs = ablation::policy_ablation_requests(bicg, harness, ABLATION_T, &ABLATION_RS);
+    reqs.extend(ablation::msg_ablation_requests(
+        bicg, harness, MSG_T_SPM, ABLATION_T, &MSG_US,
+    ));
+    reqs.extend(ablation::adaptive_ablation_requests(
+        bicg, harness, ABLATION_T,
+    ));
+    reqs.extend(ablation::bias_ablation_requests(
+        bicg,
+        harness,
+        ABLATION_T,
+        &BIAS_WEIGHTS,
+    ));
+    reqs
+}
+
+/// The co-runner sweep's (T, R, seed, max co-runners): 0–6 co-runners per
+/// profile on the context's bicg instance (reduced size under `quick`),
+/// one seed at every scale.
+const SWEEP: (usize, u32, u64, usize) = (160 * KIB, 8, 11, 6);
+
+/// The co-runner sweep's runs on `bicg`, as a plan.
+fn sweep_requests(bicg: &Bicg) -> Vec<RunRequest<'_>> {
+    let (t, r, seed, max) = SWEEP;
+    interference::interference_sweep_requests(bicg, t, r, seed, max)
 }
 
 /// Subcommands dispatched outside [`JOBS`] (explicit-only; they never
@@ -329,7 +370,8 @@ fn listing() -> String {
 
 /// Every canonical key the current artifact set can request — the live
 /// set `cache gc` keeps: both full and quick variants of the plan-based
-/// figures (3/4/5/6/7) and the scenario matrix, plus fig6's
+/// figures (3/4/5/6/7), the what-if sweep, the ablations, the co-runner
+/// sweep and the scenario matrix, plus fig6's
 /// data-dependent best-T follow-up whenever the store already holds the
 /// complete first wave it derives from (computed through a store-backed
 /// executor, i.e. from cache, never by executing anything).
@@ -358,6 +400,8 @@ fn live_keys(cache_dir: &Path) -> std::io::Result<HashSet<String>> {
         reqs.extend(fig6_requests(&suite, &harness, 160, 8));
         reqs.extend(fig7_requests(&suite, &harness, 8));
         reqs.extend(whatif_requests(&bicg));
+        reqs.extend(ablation_requests(&bicg, &harness));
+        reqs.extend(sweep_requests(&bicg));
         let fig6_first: Vec<String> = fig6_requests(&suite, &harness, 160, 8)
             .iter()
             .map(RunRequest::key)
@@ -564,6 +608,12 @@ fn main() {
         // reports.
         merged.extend(whatif_requests(&ctx.bicg));
     }
+    if run("ablation") {
+        merged.extend(ablation_requests(&ctx.bicg, &ctx.harness));
+    }
+    if run("interference") {
+        merged.extend(sweep_requests(&ctx.bicg));
+    }
     // Metered twin when a registry exists, identical null-sink path
     // otherwise — outputs are byte-identical either way.
     let execute = |requests: &[RunRequest<'_>]| match registry.as_ref() {
@@ -583,8 +633,8 @@ fn main() {
         }
     }
 
-    // Phase 2 — job-granular artifacts: plan-based figures render from the
-    // warm cache; the remaining generators compute as before.
+    // Phase 2 — job-granular artifacts: plan-based artifacts render from
+    // the warm cache; fig1, fig2 and mei compute their own (small) runs.
     let jobs: Vec<&Job> = JOBS.iter().filter(|(name, _, _)| run(name)).collect();
     for artifacts in parallel_map(workers, &jobs, |(_, _, job)| {
         let _render = registry

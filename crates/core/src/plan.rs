@@ -3,8 +3,9 @@
 //! The run-plan layer (`prem-harness::plan`) canonicalizes every simulator
 //! invocation in the workspace into a request; this module is the single
 //! place such a request becomes an actual execution. [`RunWork`] names the
-//! three execution modes every consumer uses — tamed LLC-PREM, SPM-PREM
-//! and the unprotected baseline — [`RunWork::prem_config`] derives the one
+//! execution modes consumers use — LLC-PREM (fixed or adaptive prefetch),
+//! SPM-PREM, each optionally under a non-canonical sync granularity, and
+//! the unprotected baseline — [`RunWork::prem_config`] derives the one
 //! canonical [`PremConfig`] per mode, and [`execute_run`] runs a resolved
 //! request on a freshly built platform (its capturing counterpart is
 //! [`crate::whatif::execute_run_captured`]).
@@ -19,9 +20,16 @@ use prem_gpusim::{ExecError, PlatformConfig, Scenario};
 use crate::exec::{run_baseline, run_prem_traced_reporting_profile, NoiseModel, PremConfig};
 use crate::interval::IntervalSpec;
 use crate::local_store::{LocalStore, PrefetchStrategy};
+use crate::sync::SyncConfig;
 use crate::{BaselineRun, PremRun};
 
 /// What a run request executes once its platform is resolved.
+///
+/// The sync-granularity variants carry the minimum synchronization
+/// granularity in whole µs so the mode stays `Copy + Eq`. Build them
+/// through [`RunWork::llc_with_msg`] / [`RunWork::spm_with_msg`], which
+/// lower the canonical TX1 MSG to the plain [`RunWork::PremLlc`] /
+/// [`RunWork::PremSpm`] spelling: one run, one key.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum RunWork {
     /// LLC-PREM with `r` prefetch repetitions — the paper's tamed
@@ -30,20 +38,67 @@ pub enum RunWork {
         /// Prefetch repetition factor.
         r: u32,
     },
+    /// LLC-PREM with adaptive prefetching: passes repeat until one hits
+    /// entirely, up to `max_rounds` ([`PrefetchStrategy::UntilResident`]).
+    /// Its round counts depend on the LLC policy and seed, so it is never
+    /// replay-eligible.
+    PremLlcAdaptive {
+        /// Upper bound on prefetch passes.
+        max_rounds: u32,
+    },
+    /// [`RunWork::PremLlc`] under a sync fabric whose minimum
+    /// synchronization granularity is `msg_us` instead of the TX1's.
+    PremLlcMsg {
+        /// Prefetch repetition factor.
+        r: u32,
+        /// Minimum synchronization granularity (whole µs).
+        msg_us: u32,
+    },
     /// SPM-PREM, the HePREM-like state of the art ([`PremConfig::spm`]).
     PremSpm,
+    /// [`RunWork::PremSpm`] under a sync fabric whose minimum
+    /// synchronization granularity is `msg_us` instead of the TX1's.
+    PremSpmMsg {
+        /// Minimum synchronization granularity (whole µs).
+        msg_us: u32,
+    },
     /// The unprotected baseline (no phases, no staging, no protection).
     Baseline,
 }
 
 impl RunWork {
-    /// Short stable name used in canonical request keys (`llc-r8`, `spm`,
-    /// `base`). Part of every cached fingerprint — renaming a mode
-    /// invalidates all published plans, so name modes once.
+    /// LLC-PREM with `r` repetitions under MSG `msg_us`: the plain
+    /// [`RunWork::PremLlc`] at the canonical TX1 MSG, otherwise
+    /// [`RunWork::PremLlcMsg`].
+    pub fn llc_with_msg(r: u32, msg_us: u32) -> RunWork {
+        if is_canonical_msg(msg_us) {
+            RunWork::PremLlc { r }
+        } else {
+            RunWork::PremLlcMsg { r, msg_us }
+        }
+    }
+
+    /// SPM-PREM under MSG `msg_us`: the plain [`RunWork::PremSpm`] at the
+    /// canonical TX1 MSG, otherwise [`RunWork::PremSpmMsg`].
+    pub fn spm_with_msg(msg_us: u32) -> RunWork {
+        if is_canonical_msg(msg_us) {
+            RunWork::PremSpm
+        } else {
+            RunWork::PremSpmMsg { msg_us }
+        }
+    }
+
+    /// Short stable name used in canonical request keys (`llc-r8`,
+    /// `llc-ur16`, `llc-r8-msg5`, `spm`, `spm-msg5`, `base`). Part of every
+    /// cached fingerprint — renaming a mode invalidates all published
+    /// plans, so name modes once.
     pub fn key(&self) -> String {
         match self {
             RunWork::PremLlc { r } => format!("llc-r{r}"),
+            RunWork::PremLlcAdaptive { max_rounds } => format!("llc-ur{max_rounds}"),
+            RunWork::PremLlcMsg { r, msg_us } => format!("llc-r{r}-msg{msg_us}"),
             RunWork::PremSpm => "spm".into(),
+            RunWork::PremSpmMsg { msg_us } => format!("spm-msg{msg_us}"),
             RunWork::Baseline => "base".into(),
         }
     }
@@ -53,25 +108,44 @@ impl RunWork {
     /// single source of the experiment configurations: `prem-report`'s
     /// `llc_prem_config` and the matrix engine both delegate here.
     pub fn prem_config(&self, seed: u64, noise: NoiseModel) -> Option<PremConfig> {
-        let cfg = match self {
-            RunWork::PremLlc { r } => PremConfig {
-                store: LocalStore::Llc {
-                    prefetch: PrefetchStrategy::Repeated { r: *r },
-                },
-                ..PremConfig::llc_tamed()
+        let llc = |prefetch| PremConfig {
+            store: LocalStore::Llc { prefetch },
+            ..PremConfig::llc_tamed()
+        };
+        let msg = |msg_us: u32| SyncConfig {
+            msg_us: f64::from(msg_us),
+            ..SyncConfig::tx1()
+        };
+        let cfg = match *self {
+            RunWork::PremLlc { r } => llc(PrefetchStrategy::Repeated { r }),
+            RunWork::PremLlcAdaptive { max_rounds } => {
+                llc(PrefetchStrategy::UntilResident { max_rounds })
+            }
+            RunWork::PremLlcMsg { r, msg_us } => PremConfig {
+                sync: msg(msg_us),
+                ..llc(PrefetchStrategy::Repeated { r })
             },
             RunWork::PremSpm => PremConfig::spm(),
+            RunWork::PremSpmMsg { msg_us } => PremConfig {
+                sync: msg(msg_us),
+                ..PremConfig::spm()
+            },
             RunWork::Baseline => return None,
         };
         Some(cfg.with_seed(seed).with_noise(noise))
     }
 }
 
+/// Whether `msg_us` is the TX1 sync fabric's own MSG ([`SyncConfig::tx1`]).
+fn is_canonical_msg(msg_us: u32) -> bool {
+    f64::from(msg_us) == SyncConfig::tx1().msg_us
+}
+
 /// Outcome of one executed run request: the PREM result or the baseline
 /// result, depending on the request's [`RunWork`].
 #[derive(Clone, Debug, PartialEq)]
 pub enum RunOutput {
-    /// A PREM schedule execution ([`RunWork::PremLlc`] / [`RunWork::PremSpm`]).
+    /// A PREM schedule execution (every [`RunWork`] mode but the baseline).
     Prem(PremRun),
     /// An unprotected baseline execution ([`RunWork::Baseline`]).
     Baseline(BaselineRun),
@@ -204,6 +278,62 @@ mod tests {
         assert_eq!(RunWork::PremLlc { r: 8 }.key(), "llc-r8");
         assert_eq!(RunWork::PremSpm.key(), "spm");
         assert_eq!(RunWork::Baseline.key(), "base");
+        assert_eq!(
+            RunWork::PremLlcAdaptive { max_rounds: 16 }.key(),
+            "llc-ur16"
+        );
+        assert_eq!(RunWork::llc_with_msg(8, 5).key(), "llc-r8-msg5");
+        assert_eq!(RunWork::spm_with_msg(100).key(), "spm-msg100");
+    }
+
+    #[test]
+    fn the_canonical_msg_lowers_to_the_plain_modes() {
+        assert_eq!(RunWork::llc_with_msg(8, 40), RunWork::PremLlc { r: 8 });
+        assert_eq!(RunWork::spm_with_msg(40), RunWork::PremSpm);
+        // The plain and the explicit-MSG spellings configure one run.
+        let noise = NoiseModel::off();
+        assert_eq!(
+            RunWork::PremLlcMsg { r: 8, msg_us: 40 }.prem_config(3, noise),
+            RunWork::PremLlc { r: 8 }.prem_config(3, noise)
+        );
+        assert_eq!(
+            RunWork::PremSpmMsg { msg_us: 40 }.prem_config(3, noise),
+            RunWork::PremSpm.prem_config(3, noise)
+        );
+    }
+
+    #[test]
+    fn ablation_modes_match_the_hand_built_configs() {
+        let noise = NoiseModel::off();
+        let adaptive = RunWork::PremLlcAdaptive { max_rounds: 16 }
+            .prem_config(5, noise)
+            .unwrap();
+        let by_hand = PremConfig {
+            store: LocalStore::Llc {
+                prefetch: PrefetchStrategy::UntilResident { max_rounds: 16 },
+            },
+            ..PremConfig::llc_tamed()
+        }
+        .with_seed(5);
+        assert_eq!(adaptive, by_hand);
+        let sync = SyncConfig {
+            msg_us: 5.0,
+            ..SyncConfig::tx1()
+        };
+        let llc = RunWork::llc_with_msg(8, 5).prem_config(5, noise).unwrap();
+        let by_hand = PremConfig {
+            sync,
+            ..PremConfig::llc_tamed()
+        }
+        .with_seed(5);
+        assert_eq!(llc, by_hand);
+        let spm = RunWork::spm_with_msg(5).prem_config(5, noise).unwrap();
+        let by_hand = PremConfig {
+            sync,
+            ..PremConfig::spm()
+        }
+        .with_seed(5);
+        assert_eq!(spm, by_hand);
     }
 
     #[test]

@@ -59,7 +59,8 @@ use crate::sync::PhaseTiming;
 /// Whether a run is replay-derivable across the LLC policy/seed axes.
 ///
 /// True exactly when the LLC's input op sequence is invariant in those
-/// axes: LLC-PREM (fixed repetition) or baseline work, no L1 in front of
+/// axes: LLC-PREM (fixed repetition, any sync granularity) or baseline
+/// work, no L1 in front of
 /// the LLC, and a co-runner mix under `scenario` that is time-invariant
 /// (constant contention) and never pollutes the LLC.
 pub fn replay_eligible(cfg: &PlatformConfig, work: RunWork, scenario: Scenario) -> bool {
@@ -67,10 +68,14 @@ pub fn replay_eligible(cfg: &PlatformConfig, work: RunWork, scenario: Scenario) 
         return false;
     }
     match work {
-        RunWork::PremLlc { .. } | RunWork::Baseline => {}
+        RunWork::PremLlc { .. } | RunWork::PremLlcMsg { .. } | RunWork::Baseline => {}
         // SPM staging bypasses the LLC: there is no policy/seed axis to
         // derive along (and the C-phase never touches the cache).
-        RunWork::PremSpm => return false,
+        RunWork::PremSpm | RunWork::PremSpmMsg { .. } => return false,
+        // Adaptive prefetching stops on the first all-hit pass, so its
+        // round count — and with it the LLC input sequence — depends on
+        // the policy and seed.
+        RunWork::PremLlcAdaptive { .. } => return false,
     }
     // Static/polluter properties are seed-independent, so probe with 0.
     let engine = InterferenceEngine::new(cfg.cpu.active_corunners(scenario), 0);
@@ -583,7 +588,11 @@ mod tests {
     #[test]
     fn replay_matches_live_for_every_policy_seed_sibling() {
         let ivs = toy_intervals();
-        for work in [RunWork::PremLlc { r: 4 }, RunWork::Baseline] {
+        for work in [
+            RunWork::PremLlc { r: 4 },
+            RunWork::llc_with_msg(4, 5),
+            RunWork::Baseline,
+        ] {
             for scenario in [Scenario::Isolation, Scenario::Interference] {
                 let rep_cfg = small_platform(Policy::nvidia_like(4), 11);
                 let (_, _, capture) = execute_run_captured(
@@ -629,10 +638,20 @@ mod tests {
             RunWork::Baseline,
             Scenario::Interference
         ));
+        // The sync granularity moves budgets, not the LLC input sequence.
+        assert!(replay_eligible(
+            &cfg,
+            RunWork::llc_with_msg(8, 5),
+            Scenario::Isolation
+        ));
         // SPM has no LLC what-if axis.
+        for spm in [RunWork::PremSpm, RunWork::spm_with_msg(5)] {
+            assert!(!replay_eligible(&cfg, spm, Scenario::Isolation));
+        }
+        // Adaptive round counts depend on the policy and seed.
         assert!(!replay_eligible(
             &cfg,
-            RunWork::PremSpm,
+            RunWork::PremLlcAdaptive { max_rounds: 16 },
             Scenario::Isolation
         ));
         // Pollution volume depends on budgets, budgets on policy/seed.

@@ -115,7 +115,7 @@ pub struct RunRequest<'k> {
     pub kernel: &'k dyn Kernel,
     /// Platform construction recipe.
     pub platform: PlatformSpec,
-    /// Execution mode (LLC-PREM / SPM-PREM / baseline).
+    /// Execution mode (see [`RunWork`]).
     pub work: RunWork,
     /// PREM interval size in bytes (also the baseline's tiling size).
     pub t_bytes: usize,

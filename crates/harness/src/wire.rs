@@ -187,7 +187,7 @@ pub struct OwnedRunRequest {
     pub platform: PlatformId,
     /// Optional LLC replacement-policy override.
     pub policy: Option<MatrixPolicy>,
-    /// Execution mode (LLC-PREM / SPM-PREM / baseline).
+    /// Execution mode (see [`RunWork`]).
     pub work: RunWork,
     /// PREM interval size in bytes.
     pub t_bytes: usize,
@@ -424,18 +424,31 @@ fn parse_kernel(s: &str) -> io::Result<KernelId> {
     Ok(KernelId::new(name, dims))
 }
 
-/// Parses the [`RunWork::key`] spelling (`llc-r8`, `spm`, `base`).
+/// Parses the [`RunWork::key`] spelling (`llc-r8`, `llc-ur16`,
+/// `llc-r8-msg5`, `spm`, `spm-msg5`, `base`). An explicit MSG equal to the
+/// canonical TX1 one parses as the plain mode, which is the same run.
 fn parse_work(s: &str) -> io::Result<RunWork> {
-    match s {
-        "spm" => return Ok(RunWork::PremSpm),
-        "base" => return Ok(RunWork::Baseline),
-        _ => {}
-    }
     let err = || bad_data(&format!("unknown work mode `{s}`"));
-    let r = s.strip_prefix("llc-r").ok_or_else(err)?;
-    Ok(RunWork::PremLlc {
-        r: r.parse().map_err(|_| err())?,
-    })
+    let num = |v: &str| v.parse::<u32>().map_err(|_| err());
+    match s {
+        "spm" => Ok(RunWork::PremSpm),
+        "base" => Ok(RunWork::Baseline),
+        _ => {
+            if let Some(n) = s.strip_prefix("llc-ur") {
+                Ok(RunWork::PremLlcAdaptive {
+                    max_rounds: num(n)?,
+                })
+            } else if let Some(m) = s.strip_prefix("spm-msg") {
+                Ok(RunWork::spm_with_msg(num(m)?))
+            } else {
+                let rest = s.strip_prefix("llc-r").ok_or_else(err)?;
+                match rest.split_once("-msg") {
+                    Some((r, m)) => Ok(RunWork::llc_with_msg(num(r)?, num(m)?)),
+                    None => Ok(RunWork::PremLlc { r: num(rest)? }),
+                }
+            }
+        }
+    }
 }
 
 /// Parses a line-form scenario: a preset name or `mix:<name>:<p>+<p>…`

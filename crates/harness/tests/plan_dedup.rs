@@ -9,14 +9,21 @@
 //!   direct execution of that exact request;
 //! * **merged-plan elision** — a plan merging two figures executes each
 //!   *shared* request exactly once (asserted with the executor's
-//!   execution-count probe).
+//!   execution-count probe);
+//! * **key stability** — canonical keys of the established work modes
+//!   stay byte-identical as the request vocabulary grows, so stores
+//!   written by earlier builds keep hitting;
+//! * **adaptive work stays out of families** — adaptive-prefetch seed
+//!   and policy siblings execute live, never by replay.
 
 use proptest::prelude::*;
 
 use prem_core::{NoiseModel, RunWork};
-use prem_gpusim::Scenario;
+use prem_gpusim::{CorunnerProfile, Scenario};
 use prem_harness::seed::fingerprint;
-use prem_harness::{MatrixScenario, PlanExecutor, PlatformSpec, RunRequest, RunSource};
+use prem_harness::{
+    CorunnerMix, MatrixPolicy, MatrixScenario, PlanExecutor, PlatformSpec, RunRequest, RunSource,
+};
 use prem_kernels::{Bicg, Kernel};
 use prem_memsim::KIB;
 
@@ -193,4 +200,103 @@ fn merged_two_figure_plan_executes_each_shared_request_exactly_once() {
         separate - 2,
         "post-plan rendering must not execute anything"
     );
+}
+
+#[test]
+fn established_canonical_keys_are_unchanged() {
+    // Literal keys of the pre-ablation vocabulary (LLC-PREM, SPM, baseline;
+    // template and overridden policies; presets and a mix; both noise
+    // models). A store written before the vocabulary grew must keep
+    // hitting, so these strings may never move.
+    let k = Bicg::new(128, 128);
+    let at = |platform: PlatformSpec, work, scenario, noise| RunRequest {
+        kernel: &k,
+        platform,
+        work,
+        t_bytes: 32 * KIB,
+        seed: 11,
+        scenario,
+        noise,
+    };
+    let cases = [
+        (
+            at(
+                PlatformSpec::tx1(),
+                RunWork::PremLlc { r: 8 },
+                MatrixScenario::Preset(Scenario::Isolation),
+                NoiseModel::tx1(),
+            ),
+            "bicg(128x128)|tx1#32f20ef23359f960|template-policy|isolation|llc-r8|t32768|s11|n64x32",
+        ),
+        (
+            at(
+                PlatformSpec::tx1().with_policy(MatrixPolicy::Lru),
+                RunWork::PremLlc { r: 1 },
+                MatrixScenario::Preset(Scenario::Interference),
+                NoiseModel::off(),
+            ),
+            "bicg(128x128)|tx1#32f20ef23359f960|lru|interference|llc-r1|t32768|s11|n0x0",
+        ),
+        (
+            at(
+                PlatformSpec::tx1(),
+                RunWork::PremSpm,
+                MatrixScenario::Preset(Scenario::Isolation),
+                NoiseModel::off(),
+            ),
+            "bicg(128x128)|tx1#32f20ef23359f960|template-policy|isolation|spm|t32768|s11|n0x0",
+        ),
+        (
+            at(
+                PlatformSpec::tx1(),
+                RunWork::Baseline,
+                MatrixScenario::Mix(CorunnerMix::uniform(2, CorunnerProfile::Membomb)),
+                NoiseModel::tx1(),
+            ),
+            "bicg(128x128)|tx1#32f20ef23359f960|template-policy|2xmembomb#67a7d8c3ebee207c|base|t32768|s11|n64x32",
+        ),
+    ];
+    for (req, key) in &cases {
+        assert_eq!(req.key(), *key);
+    }
+    // The canonical MSG spells the established modes.
+    assert_eq!(RunWork::llc_with_msg(8, 40).key(), "llc-r8");
+    assert_eq!(RunWork::spm_with_msg(40).key(), "spm");
+}
+
+#[test]
+fn adaptive_siblings_execute_live_outside_any_family() {
+    // Adaptive prefetch stops on the first all-hit pass, so its round
+    // count depends on the LLC policy and seed and a capture of one
+    // sibling cannot derive another (the capture path asserts as much).
+    // A plan mixing adaptive policy/seed siblings with fixed-R ones must
+    // replay only the fixed family and run every adaptive request live.
+    let k = Bicg::new(128, 128);
+    let mut requests = Vec::new();
+    for policy in [None, Some(MatrixPolicy::Lru)] {
+        for seed in [11, 23, 47] {
+            for work in [
+                RunWork::PremLlcAdaptive { max_rounds: 16 },
+                RunWork::PremLlc { r: 8 },
+            ] {
+                let mut req = request(&k, work, 32 * KIB, seed, true);
+                req.platform.policy = policy;
+                requests.push(req);
+            }
+        }
+    }
+    let executor = PlanExecutor::new();
+    let summary = executor.execute(&requests, 2);
+    assert_eq!(
+        summary.families, 1,
+        "only the fixed-R siblings form a family"
+    );
+    assert_eq!(
+        summary.replayed, 5,
+        "six fixed-R siblings: one live, five derived"
+    );
+    assert_eq!(summary.executed, 6 + 1, "every adaptive request runs live");
+    for req in &requests {
+        assert_eq!(executor.output(req), req.execute(), "{}", req.key());
+    }
 }

@@ -78,7 +78,12 @@ proptest! {
             proptest::sample::select(kernel_pool()),
             proptest::sample::select(platform_pool()),
         ),
-        (policy_tag, mode, r) in (0usize..8, 0usize..3, 1u32..9),
+        (policy_tag, mode, r, msg_us) in (
+            0usize..8,
+            0usize..6,
+            1u32..9,
+            proptest::sample::select(vec![5u32, 40, 100]),
+        ),
         t_kib in proptest::sample::select(vec![16usize, 32, 64]),
         seed in 0u64..1000,
         (scenario_tag, duty_steps) in (0usize..6, 0u64..17),
@@ -93,6 +98,9 @@ proptest! {
             work: match mode {
                 0 => RunWork::PremLlc { r },
                 1 => RunWork::PremSpm,
+                2 => RunWork::PremLlcAdaptive { max_rounds: r },
+                3 => RunWork::llc_with_msg(r, msg_us),
+                4 => RunWork::spm_with_msg(msg_us),
                 _ => RunWork::Baseline,
             },
             t_bytes: t_kib * KIB,
@@ -132,5 +140,41 @@ proptest! {
         prop_assert_eq!(resolved.request().base_key(), borrowed.base_key());
         prop_assert_eq!(resolved.request().fingerprint(), borrowed.fingerprint());
         prop_assert_eq!(&OwnedRunRequest::of(&borrowed).expect("wire-able"), &owned);
+    }
+}
+
+#[test]
+fn every_work_mode_parses_back_from_its_key() {
+    // serve's `work=` field is the `RunWork::key` spelling: every mode,
+    // the ablation vocabulary included, must parse back to itself.
+    let modes = [
+        RunWork::PremLlc { r: 8 },
+        RunWork::PremLlcAdaptive { max_rounds: 16 },
+        RunWork::PremLlcMsg { r: 8, msg_us: 5 },
+        RunWork::PremSpm,
+        RunWork::PremSpmMsg { msg_us: 100 },
+        RunWork::Baseline,
+    ];
+    for work in modes {
+        let line = format!(
+            "v1 kernel=bicg:128x64 platform=tx1 work={} t=16384 seed=1 \
+             scenario=isolation noise=0x0",
+            work.key()
+        );
+        let parsed = OwnedRunRequest::from_line(&line)
+            .unwrap_or_else(|e| panic!("line `{line}` rejected: {e}"));
+        assert_eq!(parsed.work, work, "{line}");
+    }
+    // An explicit canonical MSG is the plain mode (the same run).
+    let line = "v1 kernel=bicg:128x64 platform=tx1 work=llc-r8-msg40 t=16384 seed=1 \
+                scenario=isolation noise=0x0";
+    let parsed = OwnedRunRequest::from_line(line).expect("canonical MSG spelling");
+    assert_eq!(parsed.work, RunWork::PremLlc { r: 8 });
+    for bad in ["llc-ur", "llc-r8-msg", "spm-msgx", "llc-x8", "llc-r-msg5"] {
+        let line = format!(
+            "v1 kernel=bicg:128x64 platform=tx1 work={bad} t=16384 seed=1 \
+             scenario=isolation noise=0x0"
+        );
+        assert!(OwnedRunRequest::from_line(&line).is_err(), "`{bad}` parsed");
     }
 }

@@ -7,15 +7,57 @@
 //!   synchronization granularity (the sync fabric's quality).
 //! * [`adaptive_ablation`] — fixed `R` repetition versus the adaptive
 //!   `UntilResident` strategy.
+//! * [`bias_ablation`] — how biased the bad way's victim weight must be
+//!   for the taming recipe to matter.
+//!
+//! Each ablation is a plan builder + renderer pair, like the figures: a
+//! `*_requests` function enumerates its canonical
+//! [`RunRequest`]s and a `*_with` renderer draws it from any
+//! [`RunSource`], so the `figures` binary serves the ablations from its
+//! merged plan (and warm from the run store). The classic entry points
+//! render from a fresh [`PlanExecutor`](prem_harness::PlanExecutor) that
+//! executed exactly that plan. Every ablation run is on the TX1 template
+//! with unmanaged noise off.
 
-use prem_core::{run_prem, sensitivity, LocalStore, PrefetchStrategy, PremConfig, SyncConfig};
+use prem_core::{sensitivity, NoiseModel, PremRun, RunWork};
 use prem_gpusim::{PlatformConfig, Scenario};
+use prem_harness::{MatrixPolicy, MatrixScenario, PlatformSpec, RunRequest, RunSource};
 use prem_kernels::Kernel;
 use prem_memsim::Policy;
 
-use crate::common::Harness;
+use crate::common::{executed_plan, Harness};
 use crate::stats::over_seeds;
 use crate::table::{f3, pct, Table};
+
+/// The tamed configuration's prefetch repetition factor
+/// ([`PremConfig::llc_tamed`](prem_core::PremConfig::llc_tamed)).
+const TAMED_R: u32 = 8;
+
+/// One ablation run: `work` on `platform` at interval size `t_bytes`
+/// under a paper preset scenario, unmanaged noise off.
+fn ablation_request(
+    kernel: &dyn Kernel,
+    platform: PlatformSpec,
+    work: RunWork,
+    t_bytes: usize,
+    seed: u64,
+    scenario: Scenario,
+) -> RunRequest<'_> {
+    RunRequest {
+        kernel,
+        platform,
+        work,
+        t_bytes,
+        seed,
+        scenario: MatrixScenario::Preset(scenario),
+        noise: NoiseModel::off(),
+    }
+}
+
+/// Executes `req` through `source` as a PREM run.
+fn prem(source: &impl RunSource, req: &RunRequest<'_>) -> PremRun {
+    source.output(req).prem()
+}
 
 /// One policy's behaviour under PREM.
 #[derive(Clone, Debug, PartialEq)]
@@ -30,61 +72,86 @@ pub struct PolicyRow {
     pub sensitivity: f64,
 }
 
-/// Runs the replacement-policy ablation at interval size `t_bytes`.
-pub fn policy_ablation(
+/// The policy ablation's axis in output order: biased-random is the TX1
+/// template's own policy (no override), the rest override it.
+const POLICY_AXIS: [(&str, Option<MatrixPolicy>); 6] = [
+    ("biased-random", None),
+    ("random", Some(MatrixPolicy::Random)),
+    ("lru", Some(MatrixPolicy::Lru)),
+    ("fifo", Some(MatrixPolicy::Fifo)),
+    ("plru", Some(MatrixPolicy::Plru)),
+    ("srrip", Some(MatrixPolicy::Srrip)),
+];
+
+/// A policy-ablation run: LLC-PREM with `r` repetitions under `policy`.
+fn policy_request(
+    kernel: &dyn Kernel,
+    policy: Option<MatrixPolicy>,
+    t_bytes: usize,
+    r: u32,
+    seed: u64,
+    scenario: Scenario,
+) -> RunRequest<'_> {
+    let platform = match policy {
+        Some(p) => PlatformSpec::tx1().with_policy(p),
+        None => PlatformSpec::tx1(),
+    };
+    ablation_request(
+        kernel,
+        platform,
+        RunWork::PremLlc { r },
+        t_bytes,
+        seed,
+        scenario,
+    )
+}
+
+/// The runs [`policy_ablation_with`] consumes, as a plan: every policy ×
+/// `rs` × {isolation, interference}, seed-expanded. The policies of one
+/// (R, scenario) point form one derivation family.
+pub fn policy_ablation_requests<'k>(
+    kernel: &'k dyn Kernel,
+    harness: &Harness,
+    t_bytes: usize,
+    rs: &[u32],
+) -> Vec<RunRequest<'k>> {
+    let mut reqs = Vec::new();
+    for (_, policy) in POLICY_AXIS {
+        for &r in rs {
+            for scenario in [Scenario::Isolation, Scenario::Interference] {
+                reqs.extend(
+                    harness.requests(|s| policy_request(kernel, policy, t_bytes, r, s, scenario)),
+                );
+            }
+        }
+    }
+    reqs
+}
+
+/// The replacement-policy ablation at interval size `t_bytes`, rendered
+/// from `source`.
+pub fn policy_ablation_with(
     kernel: &dyn Kernel,
     harness: &Harness,
     t_bytes: usize,
     rs: &[u32],
+    source: &impl RunSource,
 ) -> Vec<PolicyRow> {
-    let policies: Vec<(&str, Policy)> = vec![
-        ("biased-random", Policy::nvidia_tegra()),
-        ("random", Policy::Random),
-        ("lru", Policy::Lru),
-        ("fifo", Policy::Fifo),
-        ("plru", Policy::PseudoLru),
-        ("srrip", Policy::Srrip),
-    ];
-    let intervals = kernel
-        .intervals(t_bytes)
-        .unwrap_or_else(|e| panic!("{}: {e}", kernel.name()));
     let mut rows = Vec::new();
-    for (name, policy) in policies {
+    for (name, policy) in POLICY_AXIS {
         for &r in rs {
-            let cfg = PremConfig {
-                store: LocalStore::Llc {
-                    prefetch: PrefetchStrategy::Repeated { r },
-                },
-                ..PremConfig::llc_tamed()
-            };
-            let cpmr = over_seeds(&harness.seeds, |seed| {
-                let mut p = PlatformConfig::tx1()
-                    .llc_policy(policy.clone())
-                    .llc_seed(seed)
-                    .build();
-                run_prem(
-                    &mut p,
-                    &intervals,
-                    &cfg.clone().with_seed(seed),
-                    Scenario::Isolation,
+            let run = |seed, scenario| {
+                prem(
+                    source,
+                    &policy_request(kernel, policy, t_bytes, r, seed, scenario),
                 )
-                .expect("llc prem cannot fail")
-                .cpmr
-            })
-            .mean;
-            let sens = over_seeds(&harness.seeds, |seed| {
-                let mut p = PlatformConfig::tx1()
-                    .llc_policy(policy.clone())
-                    .llc_seed(seed)
-                    .build();
-                let cfg = cfg.clone().with_seed(seed);
-                let iso = run_prem(&mut p, &intervals, &cfg, Scenario::Isolation)
-                    .expect("llc prem cannot fail")
-                    .makespan_cycles;
-                let intf = run_prem(&mut p, &intervals, &cfg, Scenario::Interference)
-                    .expect("llc prem cannot fail")
-                    .makespan_cycles;
-                sensitivity(iso, intf)
+            };
+            let cpmr = over_seeds(&harness.seeds, |s| run(s, Scenario::Isolation).cpmr).mean;
+            let sens = over_seeds(&harness.seeds, |s| {
+                sensitivity(
+                    run(s, Scenario::Isolation).makespan_cycles,
+                    run(s, Scenario::Interference).makespan_cycles,
+                )
             })
             .mean;
             rows.push(PolicyRow {
@@ -96,6 +163,17 @@ pub fn policy_ablation(
         }
     }
     rows
+}
+
+/// Runs the replacement-policy ablation at interval size `t_bytes`.
+pub fn policy_ablation(
+    kernel: &dyn Kernel,
+    harness: &Harness,
+    t_bytes: usize,
+    rs: &[u32],
+) -> Vec<PolicyRow> {
+    let plan = executed_plan(&policy_ablation_requests(kernel, harness, t_bytes, rs));
+    policy_ablation_with(kernel, harness, t_bytes, rs, &plan)
 }
 
 /// Renders the policy ablation.
@@ -124,8 +202,106 @@ pub struct MsgRow {
     pub spm_over_llc: f64,
 }
 
+/// `msg_us` as whole µs, the granularity [`RunWork`] carries.
+///
+/// # Panics
+///
+/// Panics when `msg_us` is not a whole, non-negative number of µs.
+fn whole_us(msg_us: f64) -> u32 {
+    let whole = msg_us as u32;
+    assert!(
+        f64::from(whole) == msg_us,
+        "MSG {msg_us} µs is not a whole number of µs"
+    );
+    whole
+}
+
+/// The MSG ablation's (SPM, tamed LLC) request pair at one MSG and seed.
+fn msg_requests_at(
+    kernel: &dyn Kernel,
+    t_spm: usize,
+    t_llc: usize,
+    msg_us: f64,
+    seed: u64,
+) -> [RunRequest<'_>; 2] {
+    let msg = whole_us(msg_us);
+    let at = |work, t| {
+        ablation_request(
+            kernel,
+            PlatformSpec::tx1(),
+            work,
+            t,
+            seed,
+            Scenario::Isolation,
+        )
+    };
+    [
+        at(RunWork::spm_with_msg(msg), t_spm),
+        at(RunWork::llc_with_msg(TAMED_R, msg), t_llc),
+    ]
+}
+
+/// The runs [`msg_ablation_with`] consumes, as a plan: SPM at `t_spm` and
+/// the tamed LLC at `t_llc` per MSG (whole µs), isolated, seed-expanded.
+///
+/// # Panics
+///
+/// Panics when an MSG is not a whole number of µs.
+pub fn msg_ablation_requests<'k>(
+    kernel: &'k dyn Kernel,
+    harness: &Harness,
+    t_spm: usize,
+    t_llc: usize,
+    msgs_us: &[f64],
+) -> Vec<RunRequest<'k>> {
+    let mut reqs = Vec::new();
+    for &msg_us in msgs_us {
+        for &seed in &harness.seeds {
+            reqs.extend(msg_requests_at(kernel, t_spm, t_llc, msg_us, seed));
+        }
+    }
+    reqs
+}
+
+/// The MSG sweep, rendered from `source`: with a fast sync fabric the
+/// SPM's small-phase penalty shrinks — quantifying how much of the LLC
+/// win is sync-granularity.
+///
+/// # Panics
+///
+/// Panics when an MSG is not a whole number of µs.
+pub fn msg_ablation_with(
+    kernel: &dyn Kernel,
+    harness: &Harness,
+    t_spm: usize,
+    t_llc: usize,
+    msgs_us: &[f64],
+    source: &impl RunSource,
+) -> Vec<MsgRow> {
+    msgs_us
+        .iter()
+        .map(|&msg_us| {
+            let makespan = |which: usize| {
+                over_seeds(&harness.seeds, |seed| {
+                    let req = &msg_requests_at(kernel, t_spm, t_llc, msg_us, seed)[which];
+                    prem(source, req).makespan_cycles
+                })
+                .mean
+            };
+            MsgRow {
+                msg_us,
+                spm_over_llc: makespan(0) / makespan(1),
+            }
+        })
+        .collect()
+}
+
 /// Sweeps the MSG: with a fast sync fabric the SPM's small-phase penalty
 /// shrinks — quantifying how much of the LLC win is sync-granularity.
+///
+/// # Panics
+///
+/// Panics when an MSG is not a whole number of µs.
 pub fn msg_ablation(
     kernel: &dyn Kernel,
     harness: &Harness,
@@ -133,45 +309,10 @@ pub fn msg_ablation(
     t_llc: usize,
     msgs_us: &[f64],
 ) -> Vec<MsgRow> {
-    let spm_ivs = kernel.intervals(t_spm).expect("spm tiling");
-    let llc_ivs = kernel.intervals(t_llc).expect("llc tiling");
-    msgs_us
-        .iter()
-        .map(|&msg_us| {
-            let sync = SyncConfig {
-                msg_us,
-                ..SyncConfig::tx1()
-            };
-            let spm = over_seeds(&harness.seeds, |seed| {
-                let mut p = PlatformConfig::tx1().llc_seed(seed).build();
-                let cfg = PremConfig {
-                    sync,
-                    ..PremConfig::spm()
-                }
-                .with_seed(seed);
-                run_prem(&mut p, &spm_ivs, &cfg, Scenario::Isolation)
-                    .expect("spm run")
-                    .makespan_cycles
-            })
-            .mean;
-            let llc = over_seeds(&harness.seeds, |seed| {
-                let mut p = PlatformConfig::tx1().llc_seed(seed).build();
-                let cfg = PremConfig {
-                    sync,
-                    ..PremConfig::llc_tamed()
-                }
-                .with_seed(seed);
-                run_prem(&mut p, &llc_ivs, &cfg, Scenario::Isolation)
-                    .expect("llc run")
-                    .makespan_cycles
-            })
-            .mean;
-            MsgRow {
-                msg_us,
-                spm_over_llc: spm / llc,
-            }
-        })
-        .collect()
+    let plan = executed_plan(&msg_ablation_requests(
+        kernel, harness, t_spm, t_llc, msgs_us,
+    ));
+    msg_ablation_with(kernel, harness, t_spm, t_llc, msgs_us, &plan)
 }
 
 /// Renders the MSG ablation.
@@ -199,6 +340,72 @@ pub struct BiasRow {
     pub cpmr_r8: f64,
 }
 
+/// A bias-ablation run: LLC-PREM with `r` repetitions on a TX1 whose bad
+/// way has victim weight `w`. The weight lives in the platform template,
+/// so its config digest keys the run; weight 3 *is* the TX1 template and
+/// shares the policy ablation's biased-random keys.
+fn bias_request(kernel: &dyn Kernel, w: u32, t_bytes: usize, r: u32, seed: u64) -> RunRequest<'_> {
+    let policy = Policy::BiasedRandom {
+        weights: vec![1, 1, w, 1],
+    };
+    let platform = PlatformSpec::new("tx1", PlatformConfig::tx1().llc_policy(policy));
+    ablation_request(
+        kernel,
+        platform,
+        RunWork::PremLlc { r },
+        t_bytes,
+        seed,
+        Scenario::Isolation,
+    )
+}
+
+/// The prefetch repetition factors the bias ablation compares.
+const BIAS_RS: [u32; 2] = [1, 8];
+
+/// The runs [`bias_ablation_with`] consumes, as a plan: every weight ×
+/// R ∈ {1, 8}, isolated, seed-expanded.
+pub fn bias_ablation_requests<'k>(
+    kernel: &'k dyn Kernel,
+    harness: &Harness,
+    t_bytes: usize,
+    weights: &[u32],
+) -> Vec<RunRequest<'k>> {
+    let mut reqs = Vec::new();
+    for &w in weights {
+        for r in BIAS_RS {
+            reqs.extend(harness.requests(|s| bias_request(kernel, w, t_bytes, r, s)));
+        }
+    }
+    reqs
+}
+
+/// The bad-way victim-weight sweep, rendered from `source`.
+pub fn bias_ablation_with(
+    kernel: &dyn Kernel,
+    harness: &Harness,
+    t_bytes: usize,
+    weights: &[u32],
+    source: &impl RunSource,
+) -> Vec<BiasRow> {
+    weights
+        .iter()
+        .map(|&w| {
+            let cpmr_at = |r: u32| {
+                over_seeds(&harness.seeds, |s| {
+                    prem(source, &bias_request(kernel, w, t_bytes, r, s)).cpmr
+                })
+                .mean
+            };
+            BiasRow {
+                bad_weight: w,
+                bad_probability: w as f64 / (w as f64 + 3.0),
+                cpmr_r1: cpmr_at(BIAS_RS[0]),
+                cpmr_r8: cpmr_at(BIAS_RS[1]),
+            }
+        })
+        .collect()
+}
+
 /// Sweeps the bad way's victim weight: from uniform (weight 1 ⇒ p = 1/4) to
 /// far worse than the TX1's measured 3 (p = 1/2). Shows that the taming
 /// recipe is robust to how biased the policy actually is.
@@ -208,42 +415,8 @@ pub fn bias_ablation(
     t_bytes: usize,
     weights: &[u32],
 ) -> Vec<BiasRow> {
-    let intervals = kernel
-        .intervals(t_bytes)
-        .unwrap_or_else(|e| panic!("{}: {e}", kernel.name()));
-    weights
-        .iter()
-        .map(|&w| {
-            let policy = Policy::BiasedRandom {
-                weights: vec![1, 1, w, 1],
-            };
-            let cpmr_at = |r: u32| {
-                over_seeds(&harness.seeds, |seed| {
-                    let mut p = PlatformConfig::tx1()
-                        .llc_policy(policy.clone())
-                        .llc_seed(seed)
-                        .build();
-                    let cfg = PremConfig {
-                        store: LocalStore::Llc {
-                            prefetch: PrefetchStrategy::Repeated { r },
-                        },
-                        ..PremConfig::llc_tamed()
-                    }
-                    .with_seed(seed);
-                    run_prem(&mut p, &intervals, &cfg, Scenario::Isolation)
-                        .expect("llc prem cannot fail")
-                        .cpmr
-                })
-                .mean
-            };
-            BiasRow {
-                bad_weight: w,
-                bad_probability: w as f64 / (w as f64 + 3.0),
-                cpmr_r1: cpmr_at(1),
-                cpmr_r8: cpmr_at(8),
-            }
-        })
-        .collect()
+    let plan = executed_plan(&bias_ablation_requests(kernel, harness, t_bytes, weights));
+    bias_ablation_with(kernel, harness, t_bytes, weights, &plan)
 }
 
 /// Renders the bias ablation.
@@ -276,50 +449,85 @@ pub struct AdaptiveRow {
     pub makespan_rel_r8: f64,
 }
 
-/// Compares `Repeated{r}` against `UntilResident`.
-pub fn adaptive_ablation(
+/// The prefetch strategies the adaptive ablation compares, in output
+/// order. The fixed R=8 row doubles as the makespan reference.
+const ADAPTIVE_STRATEGIES: [(&str, RunWork); 4] = [
+    ("fixed R=1", RunWork::PremLlc { r: 1 }),
+    ("fixed R=4", RunWork::PremLlc { r: 4 }),
+    ("fixed R=8", RunWork::PremLlc { r: 8 }),
+    (
+        "until-resident (max 16)",
+        RunWork::PremLlcAdaptive { max_rounds: 16 },
+    ),
+];
+
+/// An adaptive-ablation run: `work` on the TX1 template, isolated.
+fn adaptive_request(
+    kernel: &dyn Kernel,
+    work: RunWork,
+    t_bytes: usize,
+    seed: u64,
+) -> RunRequest<'_> {
+    ablation_request(
+        kernel,
+        PlatformSpec::tx1(),
+        work,
+        t_bytes,
+        seed,
+        Scenario::Isolation,
+    )
+}
+
+/// The runs [`adaptive_ablation_with`] consumes, as a plan: every
+/// strategy, isolated, seed-expanded. The adaptive runs never join a
+/// derivation family (their round counts depend on the LLC policy/seed).
+pub fn adaptive_ablation_requests<'k>(
+    kernel: &'k dyn Kernel,
+    harness: &Harness,
+    t_bytes: usize,
+) -> Vec<RunRequest<'k>> {
+    ADAPTIVE_STRATEGIES
+        .iter()
+        .flat_map(|&(_, work)| harness.requests(|s| adaptive_request(kernel, work, t_bytes, s)))
+        .collect()
+}
+
+/// `Repeated{r}` against `UntilResident`, rendered from `source`.
+pub fn adaptive_ablation_with(
     kernel: &dyn Kernel,
     harness: &Harness,
     t_bytes: usize,
+    source: &impl RunSource,
 ) -> Vec<AdaptiveRow> {
-    let intervals = kernel.intervals(t_bytes).expect("tiling");
-    let strategies = vec![
-        ("fixed R=1".to_string(), PrefetchStrategy::Repeated { r: 1 }),
-        ("fixed R=4".to_string(), PrefetchStrategy::Repeated { r: 4 }),
-        ("fixed R=8".to_string(), PrefetchStrategy::Repeated { r: 8 }),
-        (
-            "until-resident (max 16)".to_string(),
-            PrefetchStrategy::UntilResident { max_rounds: 16 },
-        ),
-    ];
-    let run = |strategy: PrefetchStrategy, seed: u64| {
-        let mut p = PlatformConfig::tx1().llc_seed(seed).build();
-        let cfg = PremConfig {
-            store: LocalStore::Llc { prefetch: strategy },
-            ..PremConfig::llc_tamed()
-        }
-        .with_seed(seed);
-        run_prem(&mut p, &intervals, &cfg, Scenario::Isolation).expect("llc run")
-    };
+    let run = |work, s| prem(source, &adaptive_request(kernel, work, t_bytes, s));
     let r8 = over_seeds(&harness.seeds, |s| {
-        run(PrefetchStrategy::Repeated { r: 8 }, s).makespan_cycles
+        run(RunWork::PremLlc { r: 8 }, s).makespan_cycles
     })
     .mean;
-    strategies
-        .into_iter()
-        .map(|(label, strategy)| {
-            let cpmr = over_seeds(&harness.seeds, |s| run(strategy, s).cpmr).mean;
-            let rounds =
-                over_seeds(&harness.seeds, |s| run(strategy, s).max_rounds_used as f64).mean;
-            let mk = over_seeds(&harness.seeds, |s| run(strategy, s).makespan_cycles).mean;
+    ADAPTIVE_STRATEGIES
+        .iter()
+        .map(|&(label, work)| {
+            let cpmr = over_seeds(&harness.seeds, |s| run(work, s).cpmr).mean;
+            let rounds = over_seeds(&harness.seeds, |s| run(work, s).max_rounds_used as f64).mean;
+            let mk = over_seeds(&harness.seeds, |s| run(work, s).makespan_cycles).mean;
             AdaptiveRow {
-                strategy: label,
+                strategy: label.to_string(),
                 cpmr,
                 rounds,
                 makespan_rel_r8: mk / r8,
             }
         })
         .collect()
+}
+
+/// Compares `Repeated{r}` against `UntilResident`.
+pub fn adaptive_ablation(
+    kernel: &dyn Kernel,
+    harness: &Harness,
+    t_bytes: usize,
+) -> Vec<AdaptiveRow> {
+    let plan = executed_plan(&adaptive_ablation_requests(kernel, harness, t_bytes));
+    adaptive_ablation_with(kernel, harness, t_bytes, &plan)
 }
 
 /// Renders the adaptive-prefetch ablation.
@@ -342,6 +550,7 @@ pub fn adaptive_table(rows: &[AdaptiveRow], t_kib: usize) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use prem_harness::PlanExecutor;
     use prem_kernels::Bicg;
     use prem_memsim::KIB;
 
@@ -366,5 +575,52 @@ mod tests {
             .find(|r| r.policy == "biased-random" && r.r == 8)
             .unwrap();
         assert!(r8.cpmr <= r1.cpmr);
+    }
+
+    #[test]
+    fn canonical_points_lower_to_existing_keys() {
+        let k = Bicg::new(128, 128);
+        let h = Harness::quick();
+        let keys = |reqs: Vec<RunRequest<'_>>| -> Vec<String> {
+            reqs.iter().map(RunRequest::key).collect()
+        };
+        // Weight 3 is the TX1 template's own policy: the bias rows are the
+        // policy ablation's biased-random isolation runs.
+        let bias = keys(bias_ablation_requests(&k, &h, 32 * KIB, &[3]));
+        let policy = keys(policy_ablation_requests(&k, &h, 32 * KIB, &[1, 8]));
+        assert!(bias.iter().all(|key| policy.contains(key)), "{bias:?}");
+        // The canonical MSG is the plain tamed/SPM spelling.
+        let msg = keys(msg_ablation_requests(&k, &h, 32 * KIB, 32 * KIB, &[40.0]));
+        assert!(
+            msg[0].contains("|spm|") && msg[1].contains("|llc-r8|"),
+            "{msg:?}"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "not a whole number of µs")]
+    fn fractional_msg_is_rejected() {
+        let k = Bicg::new(128, 128);
+        msg_ablation_requests(&k, &Harness::quick(), 32 * KIB, 32 * KIB, &[2.5]);
+    }
+
+    #[test]
+    fn renderers_are_pure_cache_traffic_after_their_plans() {
+        let k = Bicg::new(128, 128);
+        let h = Harness::quick();
+        let t = 32 * KIB;
+        let exec = PlanExecutor::new();
+        let mut plan = policy_ablation_requests(&k, &h, t, &[1, 8]);
+        plan.extend(msg_ablation_requests(&k, &h, t, t, &[5.0, 40.0]));
+        plan.extend(adaptive_ablation_requests(&k, &h, t));
+        plan.extend(bias_ablation_requests(&k, &h, t, &[1, 3]));
+        let summary = exec.execute(&plan, 2);
+        assert!(summary.elided > 0, "{summary}");
+        let executed = exec.executed_runs();
+        policy_ablation_with(&k, &h, t, &[1, 8], &exec);
+        msg_ablation_with(&k, &h, t, t, &[5.0, 40.0], &exec);
+        adaptive_ablation_with(&k, &h, t, &exec);
+        bias_ablation_with(&k, &h, t, &[1, 3], &exec);
+        assert_eq!(exec.executed_runs(), executed);
     }
 }

@@ -12,7 +12,7 @@
 
 use prem_core::{BaselineRun, NoiseModel, PremConfig, PremRun, RunWork};
 use prem_gpusim::{PlatformConfig, Scenario};
-use prem_harness::{MatrixScenario, PlatformSpec, RunRequest};
+use prem_harness::{default_workers, MatrixScenario, PlanExecutor, PlatformSpec, RunRequest};
 use prem_kernels::Kernel;
 use prem_memsim::KIB;
 
@@ -149,6 +149,16 @@ pub fn run_spm(kernel: &dyn Kernel, t: usize, seed: u64, scenario: Scenario) -> 
 /// Runs the unprotected baseline (cache-tiled at [`T_BASE`], no PREM).
 pub fn run_base(kernel: &dyn Kernel, seed: u64, scenario: Scenario) -> BaselineRun {
     base_request(kernel, seed, scenario).execute().baseline()
+}
+
+/// A fresh executor that has executed `requests` as one plan (deduped,
+/// replay-derived, on [`default_workers`] threads): the source a
+/// standalone generator renders from, byte-identical to the same requests
+/// served from a merged figure plan.
+pub(crate) fn executed_plan(requests: &[RunRequest<'_>]) -> PlanExecutor {
+    let executor = PlanExecutor::new();
+    executor.execute(requests, default_workers());
+    executor
 }
 
 /// The interval sizes (KiB) evaluated on the LLC (paper Figs 3–5).

@@ -11,17 +11,22 @@
 //! stays flat for bus-only profiles (membomb, stream, bursty — they
 //! cannot touch the LLC) and grows for `cache_thrash`, whose pollution
 //! evicts staged lines before the compute phase consumes them.
+//!
+//! The sweep is a plan builder + renderer pair like the figures
+//! ([`interference_sweep_requests`] / [`interference_sweep_with`]): every
+//! point is a canonical LLC-PREM request plus its baseline under a named
+//! co-runner mix, so the `figures` binary serves it from its merged plan.
+//! All points of the sweep share one isolated profiling pass through the
+//! plan's profile memo (profiling never activates the mix).
 
 use std::ops::Add;
 
-use prem_core::{
-    profile_phases, run_baseline, run_prem_traced_reporting_profile, LocalStore, NoiseModel,
-    PrefetchStrategy, PremConfig,
-};
-use prem_gpusim::{CorunnerProfile, PlatformConfig, Scenario};
+use prem_core::{NoiseModel, RunWork};
+use prem_gpusim::CorunnerProfile;
+use prem_harness::{CorunnerMix, MatrixScenario, PlatformSpec, RunRequest, RunSource};
 use prem_kernels::Kernel;
-use prem_memsim::NullSink;
 
+use crate::common::executed_plan;
 use crate::table::{f3, pct};
 use crate::Table;
 
@@ -64,65 +69,67 @@ pub struct SweepRow {
     pub polluted_lines: u64,
 }
 
-/// Runs the sweep: counts `0..=max_corunners` of every
-/// [`sweep_profiles`] entry on the TX1 platform.
-pub fn interference_sweep(
+/// The sweep point's (LLC-PREM, baseline) request pair: `n` co-runners
+/// of `profile` on the TX1 template, TX1 noise. A count of 0 is an empty
+/// mix, i.e. an isolated measurement under the sweep's mix name.
+fn point_requests(
+    kernel: &dyn Kernel,
+    t: usize,
+    r: u32,
+    seed: u64,
+    profile: CorunnerProfile,
+    n: usize,
+) -> [RunRequest<'_>; 2] {
+    let at = |work| RunRequest {
+        kernel,
+        platform: PlatformSpec::tx1(),
+        work,
+        t_bytes: t,
+        seed,
+        scenario: MatrixScenario::Mix(CorunnerMix::uniform(n, profile)),
+        noise: NoiseModel::tx1(),
+    };
+    [at(RunWork::PremLlc { r }), at(RunWork::Baseline)]
+}
+
+/// The runs [`interference_sweep_with`] consumes, as a plan: the PREM run
+/// and the baseline at every count `0..=max_corunners` of every
+/// [`sweep_profiles`] entry.
+pub fn interference_sweep_requests(
     kernel: &dyn Kernel,
     t: usize,
     r: u32,
     seed: u64,
     max_corunners: usize,
-) -> Vec<SweepRow> {
-    let intervals = kernel
-        .intervals(t)
-        .unwrap_or_else(|e| panic!("{}: {e}", kernel.name()));
-    let prem_cfg = PremConfig {
-        store: LocalStore::Llc {
-            prefetch: PrefetchStrategy::Repeated { r },
-        },
-        ..PremConfig::llc_tamed()
+) -> Vec<RunRequest<'_>> {
+    let mut reqs = Vec::new();
+    for profile in sweep_profiles() {
+        for n in 0..=max_corunners {
+            reqs.extend(point_requests(kernel, t, r, seed, profile, n));
+        }
     }
-    .with_seed(seed)
-    .with_noise(NoiseModel::tx1());
+    reqs
+}
 
-    // One hoisted profiling pass for the whole sweep: profiling is
-    // isolated and therefore independent of the co-runner mix, so every
-    // (profile, count) point shares the same (m_wcet, c_wcet) — the sweep
-    // used to pay the pass 4 × (max_corunners + 1) times for identical
-    // results.
-    let profiled = {
-        let mut platform = PlatformConfig::tx1().llc_seed(seed).build();
-        profile_phases(&mut platform, &intervals, &prem_cfg).expect("LLC PREM cannot fail")
-    };
-
+/// The sweep over counts `0..=max_corunners` of every [`sweep_profiles`]
+/// entry on the TX1 platform, rendered from `source`.
+pub fn interference_sweep_with(
+    kernel: &dyn Kernel,
+    t: usize,
+    r: u32,
+    seed: u64,
+    max_corunners: usize,
+    source: &impl RunSource,
+) -> Vec<SweepRow> {
     let mut rows = Vec::new();
     for profile in sweep_profiles() {
         for n in 0..=max_corunners {
-            let mix = vec![profile; n];
+            let [prem_req, base_req] = point_requests(kernel, t, r, seed, profile, n);
+            let prem = source.output(&prem_req).prem();
+            let base = source.output(&base_req).baseline();
+            let platform = prem_req.resolved_platform();
             // fold, not sum: the empty mix must print 0.000, not -0.000.
-            let demand = mix.iter().map(|p| p.mean_demand()).fold(0.0, f64::add);
-            let cfg = PlatformConfig::tx1()
-                .llc_seed(seed)
-                .with_corunners(mix.clone());
-            let mut platform = cfg.build();
-            let (prem, _) = run_prem_traced_reporting_profile(
-                &mut platform,
-                &intervals,
-                &prem_cfg,
-                Scenario::Corunners,
-                Some(profiled),
-                &mut NullSink,
-            )
-            .expect("LLC PREM cannot fail");
-            let mut base_platform = cfg.build();
-            let base = run_baseline(
-                &mut base_platform,
-                &intervals,
-                seed,
-                Scenario::Corunners,
-                NoiseModel::tx1(),
-            )
-            .expect("baseline cannot fail");
+            let demand = (0..n).map(|_| profile.mean_demand()).fold(0.0, f64::add);
             rows.push(SweepRow {
                 profile: profile.name(),
                 n,
@@ -138,6 +145,25 @@ pub fn interference_sweep(
         }
     }
     rows
+}
+
+/// Runs the sweep: counts `0..=max_corunners` of every
+/// [`sweep_profiles`] entry on the TX1 platform.
+pub fn interference_sweep(
+    kernel: &dyn Kernel,
+    t: usize,
+    r: u32,
+    seed: u64,
+    max_corunners: usize,
+) -> Vec<SweepRow> {
+    let plan = executed_plan(&interference_sweep_requests(
+        kernel,
+        t,
+        r,
+        seed,
+        max_corunners,
+    ));
+    interference_sweep_with(kernel, t, r, seed, max_corunners, &plan)
 }
 
 /// Renders sweep rows as the `interference_sweep` table.
