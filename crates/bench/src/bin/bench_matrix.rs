@@ -298,7 +298,7 @@ fn main() -> ExitCode {
     // `plan:replay|warm` re-renders the column from a fresh store-backed
     // executor (pure disk hits, replayed outputs included). The cold
     // live/replay ratio is the acceptance criterion of the derivation
-    // family work and is asserted hard at ≥3×, on top of the baseline
+    // family work and is asserted hard at ≥2×, on top of the baseline
     // total gating all entries.
     let column_kernel = Bicg::new(96, 96);
     let column = whatif_requests(&column_kernel);
@@ -378,14 +378,15 @@ fn main() -> ExitCode {
         column.len() / 3,
         3
     );
-    // Fused self-profiling (PR 10) cut the live side's cost roughly in
-    // half — a live cell no longer pays a separate profiling pass — so
-    // the replay elision's margin over live shrank from ~4x to ~1.7x.
-    // The gate guards the ordering (replay must stay cheaper than the
-    // now-compiled live path), not the old margin.
+    // Fused self-profiling cut the live side's cost roughly in half — a
+    // live cell no longer pays a separate profiling pass — and the margin
+    // shrank to ~1.7x; pre-indexed captures and the replay-side all-hit
+    // round shortcuts brought it back to ~3x (2.6x at worst on a noisy
+    // 2-vCPU host). The gate keeps replay clearly cheaper than the
+    // compiled live path with room for host noise.
     assert!(
-        speedup >= 1.3,
-        "replay-backed column must be ≥1.3x faster than live \
+        speedup >= 2.0,
+        "replay-backed column must be ≥2x faster than live \
          (got {speedup:.2}x: live {live_ms:.1} ms, replay {replay_ms:.1} ms)"
     );
 

@@ -31,6 +31,33 @@
 //!   isolated-contention phase times that budgets derive from and the
 //!   live-contention phase times the schedule reports (hit costs are
 //!   contention-independent; only DRAM costs differ).
+//! * **All-hit rounds** — the replay skips what the live executor skips,
+//!   and more. Once an M-phase round misses nowhere it has changed no
+//!   cache contents, drawn nothing from the RNG and left the replacement
+//!   state equal up to clock values that never change a victim choice, so
+//!   each remaining round is the same pure hit pass. Both sides credit
+//!   those rounds the same way: repeated f64 adds of the round's cycles
+//!   (the summation a walked loop performs) and one
+//!   [`Cache::credit_repeated_hits`] for the skipped hits. The argument
+//!   holds set by set, because sets share nothing but the RNG and the
+//!   replacement clock, and a set that never misses uses neither in a way
+//!   a victim choice can see. So the replay also stops probing any single
+//!   set that missed nowhere in the previous round: its accesses are
+//!   charged as hits in stream order, keeping the f64 summation, and
+//!   credited with the rest. The shortcuts' preconditions, a fixed
+//!   repetition and no L1, hold for every eligible run.
+//!
+//! ## What a replay pays for
+//!
+//! A capture is built once per family and replayed once per sibling, so
+//! everything that depends only on the capture is resolved when it is
+//! built: each access's set index under the representative's geometry
+//! (siblings share it; [`RunCapture::replay_for`] asserts so), fed to the
+//! mirror through [`Cache::access_in_set`], and the per-interval split of
+//! the stream into M- and C-phase ranges. A sibling then pays for its
+//! mirror cache, the first M round, the later M rounds' accesses to sets
+//! that are still missing, one f64 add per other M access up to the first
+//! all-hit round, and its C-phases.
 //!
 //! Eligibility ([`replay_eligible`]) is exactly the set of runs where the
 //! op-sequence invariance holds: LLC-staged PREM and baseline work (SPM
@@ -92,8 +119,12 @@ enum Entry {
     MBegin,
     /// A C-phase begins (PREM only).
     CBegin,
-    /// One cache access (line/kind/phase as the live run issued it).
+    /// One cache access (line/kind/phase as the live run issued it), with
+    /// its set index under the representative's geometry — resolved once
+    /// when the capture is built, shared by every sibling (siblings differ
+    /// only in policy/seed, never in geometry).
     Access {
+        set: u32,
         line: LineAddr,
         kind: AccessKind,
         phase: Phase,
@@ -101,6 +132,10 @@ enum Entry {
     /// `n` warp arithmetic instructions charged between accesses.
     Compute { n: u64 },
 }
+
+// Captures are held per family for the whole plan; the set index must
+// ride in the enum's padding, not grow it.
+const _: () = assert!(std::mem::size_of::<Entry>() == 16);
 
 /// The capturing sink: records the policy/seed-invariant input sequence.
 ///
@@ -118,7 +153,14 @@ impl TraceSink for WhatIfSink {
     const DEDUP_M_ROUNDS: bool = true;
 
     fn on_access(&mut self, line: LineAddr, kind: AccessKind, phase: Phase, _: &AccessOutcome) {
-        self.entries.push(Entry::Access { line, kind, phase });
+        // The set is resolved against the live cache once the run is over
+        // (`resolve_sets`); the sink cannot borrow it mid-run.
+        self.entries.push(Entry::Access {
+            set: 0,
+            line,
+            kind,
+            phase,
+        });
     }
 
     fn on_interval(&mut self) {
@@ -138,11 +180,14 @@ impl TraceSink for WhatIfSink {
     }
 }
 
-/// Which executor produced the capture (they segment differently).
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-enum CaptureMode {
-    Prem,
-    Baseline,
+/// Per-interval entry ranges of a capture, split once when it is built.
+/// The executor that produced the capture decides the layout.
+#[derive(Clone, Debug)]
+enum Segments {
+    /// (M-phase entries, C-phase entries) per PREM interval.
+    Prem(Vec<(Range<usize>, Range<usize>)>),
+    /// Demand entries per baseline interval.
+    Baseline(Vec<Range<usize>>),
 }
 
 /// A captured live run: everything needed to rebuild the [`RunOutput`] of
@@ -152,12 +197,12 @@ enum CaptureMode {
 /// [`RunCapture::replay_for`].
 #[derive(Clone, Debug)]
 pub struct RunCapture {
-    mode: CaptureMode,
     /// The representative's fully-resolved platform config — the defense
     /// baseline every sibling is checked against (equal modulo LLC
     /// policy/seed) and the source of geometry and cost constants.
     base_cfg: PlatformConfig,
     entries: Vec<Entry>,
+    segments: Segments,
     n_intervals: usize,
     /// Fixed M-phase prefetch rounds per interval (PREM mode only).
     rounds: u32,
@@ -217,7 +262,7 @@ pub fn execute_run_captured(
         .static_contention()
         .expect("eligible mixes have constant contention");
 
-    let (output, wcets, mode, rounds, msg_cycles, switch_cycles, budget) = match work
+    let (output, wcets, rounds, msg_cycles, switch_cycles, budget) = match work
         .prem_config(seed, noise)
     {
         Some(cfg) => {
@@ -244,7 +289,6 @@ pub fn execute_run_captured(
             (
                 RunOutput::Prem(run),
                 Some(wcets),
-                CaptureMode::Prem,
                 rounds,
                 msg_cycles,
                 switch_cycles,
@@ -257,7 +301,6 @@ pub fn execute_run_captured(
             (
                 RunOutput::Baseline(run),
                 None,
-                CaptureMode::Baseline,
                 0,
                 0.0,
                 0.0,
@@ -266,10 +309,17 @@ pub fn execute_run_captured(
         }
     };
 
+    let mut entries = sink.entries;
+    resolve_sets(&mut entries, platform.mem.llc());
+    let segments = if matches!(output, RunOutput::Prem(_)) {
+        Segments::Prem(prem_segments(&entries, intervals.len()))
+    } else {
+        Segments::Baseline(baseline_segments(&entries, intervals.len()))
+    };
     let capture = RunCapture {
-        mode,
         base_cfg: platform_cfg.clone(),
-        entries: sink.entries,
+        entries,
+        segments,
         n_intervals: intervals.len(),
         rounds,
         msg_cycles,
@@ -311,8 +361,9 @@ impl RunCapture {
             "replay_for: sibling config differs from the captured \
              representative beyond the LLC policy/seed axes"
         );
-        // The sibling's mirror cache: captured geometry, sibling policy,
-        // reseeded exactly as the live run reseeds after the cold build.
+        // The sibling's mirror cache: captured geometry (so the captured
+        // set indices apply), sibling policy, reseeded exactly as the live
+        // run reseeds after the cold build.
         let mut llc = Cache::new(cfg.llc.clone());
         llc.reseed(seed);
 
@@ -325,19 +376,24 @@ impl RunCapture {
         let pf_hit = cost.prefetch_cost(true, self.m_cont);
         let pf_miss = cost.prefetch_cost(false, self.m_cont);
 
-        match self.mode {
-            CaptureMode::Baseline => {
+        match &self.segments {
+            Segments::Baseline(segments) => {
                 let mut cycles = 0.0f64;
-                for seg in self.baseline_segments() {
+                for seg in segments {
                     // Fresh accumulator per interval, folded in order —
                     // the live executor's exact summation structure. The
                     // epoch never advances: the live baseline never calls
                     // `begin_interval`.
                     let mut out_cycles = 0.0f64;
-                    for e in &self.entries[seg] {
+                    for e in &self.entries[seg.clone()] {
                         match *e {
-                            Entry::Access { line, kind, phase } => {
-                                let out = llc.access(line, kind, phase);
+                            Entry::Access {
+                                set,
+                                line,
+                                kind,
+                                phase,
+                            } => {
+                                let out = llc.access_in_set(set as usize, line, kind, phase);
                                 out_cycles += if out.hit { llc_hit } else { dram_live };
                             }
                             Entry::Compute { n } => out_cycles += cost.alu_cost(n),
@@ -353,9 +409,12 @@ impl RunCapture {
                     llc: llc.stats().clone(),
                 })
             }
-            CaptureMode::Prem => {
-                let segments = self.prem_segments();
-                let rounds = self.rounds.max(1) as usize;
+            Segments::Prem(segments) => {
+                let rounds = self.rounds.max(1);
+                // Per set, the last M round (numbered across intervals) in
+                // which it missed; see the set-level shortcut below.
+                let mut last_miss = vec![0u32; cfg.llc.sets()];
+                let mut round_id = 0u32;
                 // Walk: per-interval (M-work, C-live, C-isolated, C DRAM
                 // fills). The isolated accumulator reproduces the
                 // profiling pass (identical trajectory, isolated DRAM
@@ -368,21 +427,48 @@ impl RunCapture {
                     // The capture stores one M round (the sink deduplicates
                     // the fixed repetition); walking it `rounds` times feeds
                     // the mirror the exact live access sequence — repeats
-                    // hit or miss per the *sibling's* trajectory, so every
-                    // round must still flow through the mirror cache.
-                    let m_entries = &self.entries[m_range];
+                    // hit or miss per the *sibling's* trajectory, so each
+                    // round flows through the mirror cache, except where
+                    // the shortcuts below prove the outcome.
+                    let m_entries = &self.entries[m_range.clone()];
                     let mut m_work = 0.0f64;
-                    for _round in 0..rounds {
+                    // Hits proven rather than simulated, credited to the
+                    // mirror's stats in one go.
+                    let mut credited = 0u64;
+                    let mut round = 0;
+                    while round < rounds {
+                        round_id += 1;
                         let mut cycles = 0.0f64;
+                        let mut hits = 0u64;
+                        let mut misses = 0u64;
                         for e in m_entries {
                             match *e {
-                                Entry::Access { line, kind, phase } => {
-                                    let out = llc.access(line, kind, phase);
-                                    if out.hit {
-                                        prefetch_hits += 1;
+                                Entry::Access {
+                                    set,
+                                    line,
+                                    kind,
+                                    phase,
+                                } => {
+                                    let set = set as usize;
+                                    // Set-level all-hit shortcut: a set that
+                                    // missed nowhere in the previous round
+                                    // holds the same lines now, so its
+                                    // accesses hit again (and leave its
+                                    // state as the all-hit argument below
+                                    // says). Sets are independent, and a
+                                    // set that never misses draws no RNG
+                                    // value, so the rest of the round runs
+                                    // exactly as if it had been walked.
+                                    if round > 0 && last_miss[set] < round_id - 1 {
+                                        hits += 1;
+                                        credited += 1;
+                                        cycles += pf_hit;
+                                    } else if llc.access_in_set(set, line, kind, phase).hit {
+                                        hits += 1;
                                         cycles += pf_hit;
                                     } else {
-                                        prefetch_misses += 1;
+                                        last_miss[set] = round_id;
+                                        misses += 1;
                                         cycles += pf_miss;
                                     }
                                 }
@@ -393,15 +479,40 @@ impl RunCapture {
                             }
                         }
                         m_work += cycles;
+                        prefetch_hits += hits;
+                        prefetch_misses += misses;
+                        round += 1;
+                        // The live executor's all-hit shortcut, mirrored: a
+                        // zero-miss round changed no contents, RNG draw or
+                        // (up to unobservable clock values) replacement
+                        // state, so every remaining round is the same pure
+                        // hit pass with bit-identical cycles. Repeated f64
+                        // adds keep the summation a walked loop produces.
+                        // Eligible runs have no L1 and a fixed repetition,
+                        // the shortcut's two preconditions.
+                        if misses == 0 && round < rounds {
+                            let remaining = rounds - round;
+                            for _ in 0..remaining {
+                                m_work += cycles;
+                                prefetch_hits += hits;
+                            }
+                            credited += u64::from(remaining) * hits;
+                            round = rounds;
+                        }
                     }
+                    llc.credit_repeated_hits(Phase::MPhase, credited);
                     let mut c_live = 0.0f64;
                     let mut c_iso = 0.0f64;
                     let mut c_dram = 0u64;
-                    for e in &self.entries[c_range] {
+                    for e in &self.entries[c_range.clone()] {
                         match *e {
-                            Entry::Access { line, kind, phase } => {
-                                let out = llc.access(line, kind, phase);
-                                if out.hit {
+                            Entry::Access {
+                                set,
+                                line,
+                                kind,
+                                phase,
+                            } => {
+                                if llc.access_in_set(set as usize, line, kind, phase).hit {
                                     c_live += llc_hit;
                                     c_iso += llc_hit;
                                 } else {
@@ -482,54 +593,70 @@ impl RunCapture {
             }
         }
     }
+}
 
-    /// Splits a PREM capture into per-interval (M-entries, C-entries)
-    /// ranges, following the `Interval, MBegin, …, CBegin, …` layout the
-    /// executor emits.
-    fn prem_segments(&self) -> Vec<(Range<usize>, Range<usize>)> {
-        let mut segments = Vec::with_capacity(self.n_intervals);
-        let mut i = 0;
-        while i < self.entries.len() {
-            assert!(matches!(self.entries[i], Entry::Interval), "capture layout");
-            assert!(
-                matches!(self.entries[i + 1], Entry::MBegin),
-                "capture layout"
-            );
-            let m_start = i + 2;
-            let mut j = m_start;
-            while !matches!(self.entries[j], Entry::CBegin) {
-                j += 1;
-            }
-            let c_start = j + 1;
-            let mut k = c_start;
-            while k < self.entries.len() && !matches!(self.entries[k], Entry::Interval) {
-                k += 1;
-            }
-            segments.push((m_start..j, c_start..k));
-            i = k;
+/// Resolves every captured access's set index against `llc`, the
+/// representative's cache: siblings share its geometry (`replay_for`
+/// asserts it), so each replay reuses the index instead of recomputing it.
+fn resolve_sets(entries: &mut [Entry], llc: &Cache) {
+    for e in entries {
+        if let Entry::Access { set, line, .. } = e {
+            *set = u32::try_from(llc.set_of(*line)).expect("set index fits in u32");
         }
-        assert_eq!(segments.len(), self.n_intervals, "capture layout");
-        segments
     }
+}
 
-    /// Splits a baseline capture into per-interval entry ranges (segments
-    /// between `Interval` markers).
-    fn baseline_segments(&self) -> Vec<Range<usize>> {
-        let mut segments = Vec::with_capacity(self.n_intervals);
-        let mut i = 0;
-        while i < self.entries.len() {
-            assert!(matches!(self.entries[i], Entry::Interval), "capture layout");
-            let start = i + 1;
-            let mut j = start;
-            while j < self.entries.len() && !matches!(self.entries[j], Entry::Interval) {
-                j += 1;
-            }
-            segments.push(start..j);
-            i = j;
+/// Splits a PREM capture into per-interval (M-entries, C-entries) ranges,
+/// following the `Interval, MBegin, …, CBegin, …` layout the executor
+/// emits.
+fn prem_segments(entries: &[Entry], n_intervals: usize) -> Vec<(Range<usize>, Range<usize>)> {
+    let mut segments = Vec::with_capacity(n_intervals);
+    let mut i = 0;
+    while i < entries.len() {
+        assert!(matches!(entries[i], Entry::Interval), "capture layout");
+        assert!(matches!(entries[i + 1], Entry::MBegin), "capture layout");
+        let m_start = i + 2;
+        let mut j = m_start;
+        while !matches!(entries[j], Entry::CBegin) {
+            j += 1;
         }
-        assert_eq!(segments.len(), self.n_intervals, "capture layout");
-        segments
+        // The M-round shortcuts credit skipped hits to the M-phase.
+        assert!(
+            entries[m_start..j].iter().all(|e| match e {
+                Entry::Access { phase, .. } => *phase == Phase::MPhase,
+                _ => true,
+            }),
+            "capture layout"
+        );
+        let c_start = j + 1;
+        let mut k = c_start;
+        while k < entries.len() && !matches!(entries[k], Entry::Interval) {
+            k += 1;
+        }
+        segments.push((m_start..j, c_start..k));
+        i = k;
     }
+    assert_eq!(segments.len(), n_intervals, "capture layout");
+    segments
+}
+
+/// Splits a baseline capture into per-interval entry ranges (segments
+/// between `Interval` markers).
+fn baseline_segments(entries: &[Entry], n_intervals: usize) -> Vec<Range<usize>> {
+    let mut segments = Vec::with_capacity(n_intervals);
+    let mut i = 0;
+    while i < entries.len() {
+        assert!(matches!(entries[i], Entry::Interval), "capture layout");
+        let start = i + 1;
+        let mut j = start;
+        while j < entries.len() && !matches!(entries[j], Entry::Interval) {
+            j += 1;
+        }
+        segments.push(start..j);
+        i = j;
+    }
+    assert_eq!(segments.len(), n_intervals, "capture layout");
+    segments
 }
 
 #[cfg(test)]
@@ -557,9 +684,18 @@ mod tests {
         cfg
     }
 
+    /// Every policy the simulator models, at three seeds.
     fn sibling_axis() -> Vec<(Policy, u64)> {
         let mut axis = Vec::new();
-        for policy in [Policy::nvidia_like(4), Policy::Lru, Policy::Random] {
+        for policy in [
+            Policy::nvidia_like(4),
+            Policy::Lru,
+            Policy::Fifo,
+            Policy::PseudoLru,
+            Policy::Nmru,
+            Policy::Srrip,
+            Policy::Random,
+        ] {
             for seed in [11u64, 23, 47] {
                 axis.push((policy.clone(), seed));
             }
@@ -585,43 +721,119 @@ mod tests {
         }
     }
 
+    /// `n` intervals, each staging `lines` consecutive lines no other
+    /// interval touches and reading them all back in the C-phase.
+    fn disjoint_intervals(n: u64, lines: u64) -> Vec<IntervalSpec> {
+        (0..n)
+            .map(|i| {
+                let footprint: Vec<_> = (0..lines).map(|j| LineAddr::new(i * lines + j)).collect();
+                let accesses = footprint.iter().map(|&l| CAccess::read(l)).collect();
+                IntervalSpec::new(footprint, accesses, 64)
+            })
+            .collect()
+    }
+
+    /// `n` intervals that fit one line per set, except that each set in
+    /// `hot` also gets one line per way: those sets miss in every round,
+    /// all others only in the first.
+    fn partly_overflowing_intervals(
+        cfg: &PlatformConfig,
+        n: u64,
+        hot: &[usize],
+    ) -> Vec<IntervalSpec> {
+        let sets = cfg.llc.sets() as u64;
+        (0..n)
+            .map(|i| {
+                let base = i * 16 * sets;
+                let mut footprint: Vec<_> = (base..base + sets).map(LineAddr::new).collect();
+                for &set in hot {
+                    let extra = (base + sets..base + 16 * sets)
+                        .map(LineAddr::new)
+                        .filter(|&l| cfg.llc.set_index(l) == set)
+                        .take(cfg.llc.ways());
+                    footprint.extend(extra);
+                }
+                let accesses = footprint.iter().map(|&l| CAccess::read(l)).collect();
+                IntervalSpec::new(footprint, accesses, 64)
+            })
+            .collect()
+    }
+
+    /// Replay ≡ live, bit for bit, in each M-round regime the replay walk
+    /// distinguishes, for every work kind it serves and every policy/seed
+    /// sibling: (a) the footprint fits, so rounds 2..R are all-hit and the
+    /// all-hit shortcut credits them; (b) it overflows the cache, so every
+    /// round misses and every round is walked; (c) a single round; (d) it
+    /// overflows a few sets only, so later rounds walk those sets and the
+    /// set-level shortcut credits the rest; and a mix of all of these,
+    /// with self-evictions.
     #[test]
-    fn replay_matches_live_for_every_policy_seed_sibling() {
-        let ivs = toy_intervals();
-        for work in [
-            RunWork::PremLlc { r: 4 },
-            RunWork::llc_with_msg(4, 5),
-            RunWork::Baseline,
-        ] {
-            for scenario in [Scenario::Isolation, Scenario::Interference] {
-                let rep_cfg = small_platform(Policy::nvidia_like(4), 11);
-                let (_, _, capture) = execute_run_captured(
-                    &rep_cfg,
-                    &ivs,
-                    work,
-                    11,
-                    scenario,
-                    NoiseModel::tx1(),
-                    None,
-                )
-                .unwrap();
-                for (policy, seed) in sibling_axis() {
-                    let sib_cfg = small_platform(policy, seed);
-                    let (live, _) = execute_run(
-                        &sib_cfg,
-                        &ivs,
-                        work,
-                        seed,
-                        scenario,
-                        NoiseModel::tx1(),
-                        None,
-                    )
-                    .unwrap();
-                    let replayed = capture.replay_for(&sib_cfg, seed);
-                    assert_eq!(
-                        live, replayed,
-                        "{work:?}/{scenario:?} sibling seed {seed} diverged"
-                    );
+    fn replay_matches_live_in_every_m_round_regime() {
+        // generic(32, 4, _): 256 lines of 128 B in 64 hashed sets. A
+        // 64-line aligned block lands one line per set, so nothing in it
+        // is ever displaced while it is staged.
+        let capacity = 256;
+        let hot = [3, 17, 40];
+        let regimes = [
+            ("fits", disjoint_intervals(4, 64), 4u32),
+            ("overflows", disjoint_intervals(3, capacity as u64 + 64), 3),
+            ("single round", toy_intervals(), 1),
+            ("mixed", toy_intervals(), 4),
+            (
+                "partly overflows",
+                partly_overflowing_intervals(&small_platform(Policy::Lru, 0), 3, &hot),
+                5,
+            ),
+        ];
+        let axis = sibling_axis();
+        for &(regime, ref ivs, r) in &regimes {
+            let footprint: usize = ivs.iter().map(|iv| iv.footprint.len()).sum();
+            for work in [
+                RunWork::PremLlc { r },
+                RunWork::llc_with_msg(r, 5),
+                RunWork::Baseline,
+            ] {
+                for scenario in [Scenario::Isolation, Scenario::Interference] {
+                    let rep_cfg = small_platform(Policy::nvidia_like(4), 11);
+                    let noise = NoiseModel::tx1();
+                    let (_, _, capture) =
+                        execute_run_captured(&rep_cfg, ivs, work, 11, scenario, noise, None)
+                            .unwrap();
+                    for (policy, seed) in &axis {
+                        let sib_cfg = small_platform(policy.clone(), *seed);
+                        let (live, _) =
+                            execute_run(&sib_cfg, ivs, work, *seed, scenario, noise, None).unwrap();
+                        // The regime really is the one named: cold first
+                        // rounds only (a), a miss in every round (b), later
+                        // rounds missing in every hot set and nowhere else
+                        // (d).
+                        if let RunOutput::Prem(run) = &live {
+                            let misses = run.prefetch_misses as usize;
+                            let later = r as usize - 1;
+                            match regime {
+                                "fits" => assert_eq!(misses, footprint, "{policy:?}"),
+                                "overflows" => assert!(
+                                    misses >= r as usize * (footprint - ivs.len() * capacity),
+                                    "{policy:?}: {misses} misses"
+                                ),
+                                "partly overflows" => {
+                                    let hot_lines = ivs.len() * hot.len() * 5;
+                                    assert!(
+                                        misses >= footprint + later * ivs.len() * hot.len()
+                                            && misses <= footprint + later * hot_lines,
+                                        "{policy:?}: {misses} misses"
+                                    );
+                                }
+                                _ => {}
+                            }
+                        }
+                        assert_eq!(
+                            live,
+                            capture.replay_for(&sib_cfg, *seed),
+                            "{regime}: {work:?}/{scenario:?} {} seed {seed} diverged",
+                            policy.name()
+                        );
+                    }
                 }
             }
         }

@@ -144,15 +144,7 @@ impl CacheConfig {
     /// analyses can reconstruct set residency from a captured header
     /// without instantiating a cache.
     pub fn set_index(&self, line: LineAddr) -> usize {
-        let sets = self.sets();
-        let raw = line.raw();
-        if self.index_hash {
-            let bits = sets.trailing_zeros();
-            let folded = raw ^ (raw >> bits) ^ (raw >> (2 * bits));
-            (folded as usize) & (sets - 1)
-        } else {
-            (raw as usize) & (sets - 1)
-        }
+        SetIndex::new(self).of(line)
     }
 
     /// Capacity (bytes) of the "good" ways only — the usable capacity under
@@ -195,6 +187,41 @@ impl CacheConfig {
     }
 }
 
+/// The set-index function of a geometry, resolved once: the modulo mask,
+/// the XOR-fold shift and the hash flag. [`CacheConfig::set_index`] and
+/// [`Cache::set_of`] both evaluate it, so the two cannot drift apart; the
+/// cache holds one built at construction, which keeps the set-count
+/// division off the per-access path.
+#[derive(Copy, Clone, Debug)]
+struct SetIndex {
+    mask: usize,
+    /// `log2(sets)`: the fold distance of XOR hashing.
+    shift: u32,
+    hash: bool,
+}
+
+impl SetIndex {
+    fn new(cfg: &CacheConfig) -> Self {
+        let sets = cfg.sets();
+        SetIndex {
+            mask: sets - 1,
+            shift: sets.trailing_zeros(),
+            hash: cfg.index_hash,
+        }
+    }
+
+    #[inline(always)]
+    fn of(self, line: LineAddr) -> usize {
+        let raw = line.raw();
+        let folded = if self.hash {
+            raw ^ (raw >> self.shift) ^ (raw >> (2 * self.shift))
+        } else {
+            raw
+        };
+        (folded as usize) & self.mask
+    }
+}
+
 /// Sentinel tag marking an empty slot. Doubles as the validity encoding:
 /// a slot is resident exactly when its tag differs from the sentinel, so
 /// the hot lookup is a single tag compare with no side-array load. The
@@ -220,7 +247,9 @@ mod meta {
 /// metadata byte per slot carrying the dirty/foreign/alive bits. The hit
 /// path touches only the tag lane and returns before any miss bookkeeping;
 /// [`Replacer`]/[`Rng`] interaction is identical to the unpacked layout,
-/// so replay equivalence holds by construction.
+/// so replay equivalence holds by construction. The set-index function and
+/// the way count are resolved at construction, so an access does no
+/// division and probes a set slice of known length.
 ///
 /// ```
 /// use prem_memsim::{Cache, CacheConfig, AccessKind, Phase, Policy, LineAddr};
@@ -234,6 +263,10 @@ mod meta {
 #[derive(Clone, Debug)]
 pub struct Cache {
     cfg: CacheConfig,
+    /// `cfg`'s set-index function, hoisted.
+    index: SetIndex,
+    /// `cfg.ways()`, hoisted.
+    ways: usize,
     /// Raw line addresses, [`EMPTY_TAG`] where the slot is empty.
     tags: Vec<u64>,
     /// Packed [`meta`] bits, slot-parallel with `tags`.
@@ -259,6 +292,8 @@ impl Cache {
         let replacer = Replacer::new(cfg.policy_ref().clone(), cfg.sets(), cfg.ways);
         let rng = Rng::seed_from_u64(cfg.seed);
         Cache {
+            index: SetIndex::new(&cfg),
+            ways: cfg.ways,
             cfg,
             tags: vec![EMPTY_TAG; slots],
             meta: vec![0; slots],
@@ -274,32 +309,41 @@ impl Cache {
     }
 
     /// Set index for a line.
+    #[inline]
     pub fn set_of(&self, line: LineAddr) -> usize {
-        self.cfg.set_index(line)
+        self.index.of(line)
     }
 
     /// The single tag-scan used by every lookup ([`Cache::access`],
     /// [`Cache::way_of`], [`Cache::contains`] and the invalid-way probe):
-    /// finds the lowest way in the set at `base` whose tag equals `raw`.
+    /// finds the lowest way of `set_tags` (one set's tag lane) whose tag
+    /// equals `raw`.
     ///
     /// For the small associativities this simulator models (≤ 64 ways) the
     /// scan is branch-light: fold the per-way compares into a bitmask and
     /// take the lowest set bit, so the loop body carries no data-dependent
-    /// branch for the predictor to miss on.
+    /// branch for the predictor to miss on. Compares go four ways at a
+    /// time, which unrolls the probe for every power-of-two associativity
+    /// ≥ 4; the remainder loop covers the rest.
     #[inline(always)]
-    fn find_way(tags: &[u64], base: usize, ways: usize, raw: u64) -> Option<usize> {
-        if ways <= 64 {
+    fn find_way(set_tags: &[u64], raw: u64) -> Option<usize> {
+        if set_tags.len() <= 64 {
             let mut mask = 0u64;
-            for w in 0..ways {
-                mask |= u64::from(tags[base + w] == raw) << w;
+            let mut quads = set_tags.chunks_exact(4);
+            for (q, c) in quads.by_ref().enumerate() {
+                let m = u64::from(c[0] == raw)
+                    | u64::from(c[1] == raw) << 1
+                    | u64::from(c[2] == raw) << 2
+                    | u64::from(c[3] == raw) << 3;
+                mask |= m << (4 * q);
             }
-            if mask == 0 {
-                None
-            } else {
-                Some(mask.trailing_zeros() as usize)
+            let done = set_tags.len() & !3;
+            for (w, &t) in quads.remainder().iter().enumerate() {
+                mask |= u64::from(t == raw) << (done + w);
             }
+            (mask != 0).then(|| mask.trailing_zeros() as usize)
         } else {
-            (0..ways).find(|&w| tags[base + w] == raw)
+            set_tags.iter().position(|&t| t == raw)
         }
     }
 
@@ -309,8 +353,8 @@ impl Cache {
         if raw == EMPTY_TAG {
             return None;
         }
-        let base = self.set_of(line) * self.cfg.ways;
-        Self::find_way(&self.tags, base, self.cfg.ways, raw)
+        let base = self.set_of(line) * self.ways;
+        Self::find_way(&self.tags[base..base + self.ways], raw)
     }
 
     /// Whether `line` is resident. Does not perturb any state.
@@ -331,16 +375,41 @@ impl Cache {
     /// Panics on the reserved sentinel address `u64::MAX` (see
     /// `EMPTY_TAG`); no modeled address space reaches it.
     pub fn access(&mut self, line: LineAddr, kind: AccessKind, phase: Phase) -> AccessOutcome {
+        self.access_in_set(self.set_of(line), line, kind, phase)
+    }
+
+    /// [`Cache::access`] with the set index supplied by the caller: the
+    /// entry point for streams whose set indices were resolved once, ahead
+    /// of many replays. `access_in_set(c.set_of(l), l, k, p)` is exactly
+    /// `access(l, k, p)`.
+    ///
+    /// `line` is used only as the tag within `set`, so a caller may
+    /// substitute any consistent renaming of its lines (dense IDs, say) as
+    /// long as every access of one line carries the same tag and set.
+    /// Evicted lines are reported in that tag space.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the sentinel tag `u64::MAX`, as [`Cache::access`] does,
+    /// and when `set` is out of range.
+    #[inline]
+    pub fn access_in_set(
+        &mut self,
+        set: usize,
+        line: LineAddr,
+        kind: AccessKind,
+        phase: Phase,
+    ) -> AccessOutcome {
         let raw = line.raw();
         assert_ne!(
             raw, EMPTY_TAG,
             "line address collides with the empty-slot sentinel"
         );
-        let set = self.set_of(line);
-        let base = set * self.cfg.ways;
+        let base = set * self.ways;
+        let set_tags = &self.tags[base..base + self.ways];
         let counts = self.stats.phase_mut(phase);
 
-        if let Some(way) = Self::find_way(&self.tags, base, self.cfg.ways, raw) {
+        if let Some(way) = Self::find_way(set_tags, raw) {
             counts.hits += 1;
             if kind == AccessKind::Write {
                 self.meta[base + way] |= meta::DIRTY;
@@ -355,7 +424,7 @@ impl Cache {
 
         counts.misses += 1;
         // Prefer an invalid way; otherwise ask the policy for a victim.
-        let (way, evicted) = match Self::find_way(&self.tags, base, self.cfg.ways, EMPTY_TAG) {
+        let (way, evicted) = match Self::find_way(set_tags, EMPTY_TAG) {
             Some(w) => (w, None),
             None => {
                 let w = self.replacer.victim(set, &mut self.rng);

@@ -142,10 +142,10 @@ impl Policy {
 /// State is stored in flat arrays indexed by `set * ways + way` so that one
 /// allocation serves the whole cache.
 ///
-/// Public because the `prem-trace` replay fast path drives the exact same
-/// replacement state machine (and RNG) as [`Cache`](crate::Cache) over a
-/// compiled access stream — single-sourcing the policy semantics is what
-/// makes replayed statistics bit-exact by construction.
+/// Public so that reference cache models (the packed-layout equivalence
+/// suite) can drive the exact replacement state machine and RNG call
+/// sequence of [`Cache`](crate::Cache); every replay path drives `Cache`
+/// itself.
 #[derive(Clone, Debug)]
 pub struct Replacer {
     policy: Policy,

@@ -17,10 +17,9 @@
 //! scenario-matrix thread pool).
 
 use prem_harness::parallel_map;
-use prem_memsim::rng::Rng;
-use prem_memsim::{AccessCounts, Cache, CacheConfig, CacheStats, Policy, Replacer};
+use prem_memsim::{Cache, CacheConfig, CacheStats, LineAddr, Policy};
 
-use crate::event::{kind_code, phase_code, TraceEvent};
+use crate::event::{kind_code, kind_from_code, phase_code, phase_from_code, TraceEvent};
 use crate::format::Trace;
 
 /// Replays `events` against a cold cache built from `cfg`, returning the
@@ -70,11 +69,11 @@ pub fn replay_with_policy(trace: &Trace, policy: Policy) -> CacheStats {
 /// every replay of the stream.
 ///
 /// Compilation fixes the geometry (sets/ways/line size/index hashing);
-/// [`CompiledStream::replay`] then varies policy and seed freely. The
-/// replacement state machine and RNG are the very same `prem-memsim`
-/// types the live [`Cache`] runs on, so replayed statistics are
-/// bit-exact by construction, not by reimplementation — asserted against
-/// both the event-level replay and live re-execution by the test suite.
+/// [`CompiledStream::replay`] then varies policy and seed freely. It
+/// drives the live [`Cache`] itself through [`Cache::access_in_set`], so
+/// replayed statistics are bit-exact by construction, not by
+/// reimplementation — asserted against both the event-level replay and
+/// live re-execution by the test suite.
 #[derive(Clone, Debug)]
 pub struct CompiledStream {
     geometry: CacheConfig,
@@ -89,9 +88,9 @@ impl CompiledStream {
     /// Compiles the input events of `trace` under its captured geometry.
     ///
     /// Besides resolving set indices, compilation renames every distinct
-    /// line to a dense ID ≥ 1 — tag arrays in the replay loop become
-    /// `u32` with 0 as the invalid sentinel, so a whole 4-way set's tags
-    /// fit in one 16-byte probe and no separate valid bitmap is needed.
+    /// line to a dense ID ≥ 1, which keeps the stream at 8 bytes per
+    /// event. With the set supplied, the cache needs its tags only to be
+    /// a consistent renaming, so replay passes the IDs as tags.
     ///
     /// # Panics
     ///
@@ -143,88 +142,30 @@ impl CompiledStream {
     /// Replays the compiled stream under `policy` and `seed`, returning
     /// the statistics a live run with that policy/seed would produce.
     ///
-    /// This is the hot path of policy sweeps: a flat-array mirror of
-    /// [`Cache::access`] (same probe order, same invalid-way preference,
-    /// same [`Replacer`]/[`Rng`] state machines) without outcome
-    /// construction, per-access set hashing or cost-model work.
+    /// This is the hot path of policy sweeps: the packed [`Cache`] under
+    /// `policy`/`seed`, fed the pre-indexed stream without per-access set
+    /// hashing or cost-model work.
     ///
     /// # Panics
     ///
     /// Panics if `policy` cannot drive the captured way count.
     pub fn replay(&self, policy: Policy, seed: u64) -> CacheStats {
-        let sets = self.geometry.sets();
-        let ways = self.geometry.ways();
-        let slots = sets * ways;
-        let mut replacer = Replacer::new(policy, sets, ways);
-        let mut rng = Rng::seed_from_u64(seed);
-        // Tag = dense line ID; 0 is the invalid sentinel (IDs start at 1).
-        let mut tags = vec![0u32; slots];
-        // Bit 0: dirty, bit 1: foreign (co-runner-owned).
-        let mut flags = vec![0u8; slots];
-        let mut fill_epoch = vec![0u32; slots];
-        let mut epoch = 1u32;
-        // Hit/miss counters indexed by phase code, folded into CacheStats
-        // at the end.
-        let mut hits = [0u64; 4];
-        let mut misses = [0u64; 4];
-        let mut stats = CacheStats::default();
-
+        let mut cache = Cache::new(self.geometry.clone().policy(policy).seed(seed));
         for (&line, &m) in self.lines.iter().zip(&self.meta) {
             if m & 1 != 0 {
-                epoch += 1;
+                cache.begin_interval();
                 continue;
             }
-            let set = (m >> 5) as usize;
-            let kind = (m >> 3) & 3;
-            let phase = ((m >> 1) & 3) as usize;
-            let base = set * ways;
-            let set_tags = &mut tags[base..base + ways];
-
-            if let Some(way) = set_tags.iter().position(|&t| t == line) {
-                hits[phase] += 1;
-                if kind == 1 {
-                    flags[base + way] |= 1;
-                }
-                replacer.on_access(set, way);
-                continue;
-            }
-
-            misses[phase] += 1;
-            let fill = match set_tags.iter().position(|&t| t == 0) {
-                Some(w) => w,
-                None => {
-                    let w = replacer.victim(set, &mut rng);
-                    let alive = fill_epoch[base + w] == epoch;
-                    stats.evictions += 1;
-                    if alive && flags[base + w] & 2 == 0 {
-                        if phase == 3 {
-                            stats.corunner_evictions += 1;
-                        } else {
-                            stats.self_evictions += 1;
-                        }
-                    }
-                    if flags[base + w] & 1 != 0 {
-                        stats.writebacks += 1;
-                    }
-                    w
-                }
-            };
-            tags[base + fill] = line;
-            flags[base + fill] = u8::from(kind == 1) | (u8::from(phase == 3) << 1);
-            fill_epoch[base + fill] = epoch;
-            replacer.on_fill(set, fill);
+            let kind = kind_from_code((m >> 3) as u8).expect("compiled from a valid access kind");
+            cache.access_in_set(
+                (m >> 5) as usize,
+                LineAddr::new(u64::from(line)),
+                kind,
+                phase_from_code((m >> 1) as u8),
+            );
         }
-
-        stats.m_phase = counts(hits[0], misses[0]);
-        stats.c_phase = counts(hits[1], misses[1]);
-        stats.unphased = counts(hits[2], misses[2]);
-        stats.corunner = counts(hits[3], misses[3]);
-        stats
+        cache.stats().clone()
     }
-}
-
-fn counts(hits: u64, misses: u64) -> AccessCounts {
-    AccessCounts { hits, misses }
 }
 
 /// Multiply-xor hasher for the compile-time line-renaming map: line
