@@ -18,29 +18,32 @@
 //!
 //! Unknown subcommands exit nonzero with the artifact listing.
 //!
-//! Every simulator-heavy artifact — figures 3/4/5/6/7, the what-if sweep,
-//! the four ablations and the co-runner sweep — is executed as **one
-//! merged, deduplicated run plan**: their `*_requests` builders are
-//! concatenated, the [`prem_harness::PlanExecutor`] elides every request
-//! two artifacts share (fig3/fig5/fig6/fig7 overlap heavily on baselines
-//! and LLC grid points; the bias ablation's weight-3 rows are the policy
-//! ablation's biased-random runs) and executes the unique frontier on the
+//! The artifact set is [`prem_report::paper`]'s job table: each entry
+//! names a subcommand, its `--list` line, its canonical run requests and
+//! its renderer, and this binary is a thin CLI over it (plus the
+//! figures-local `trace` and `obs` subcommands). Every selected job's
+//! requests — figures 3/4/5/6/7, the what-if sweep, the four ablations,
+//! the co-runner sweep and, when named, the scenario matrix — execute as
+//! **one merged, deduplicated run plan** ([`prem_report::paper::plan`]):
+//! the [`prem_harness::PlanExecutor`] elides every request two artifacts
+//! share (fig3/fig5/fig6/fig7 overlap heavily on baselines and LLC grid
+//! points; the bias ablation's weight-3 rows are the policy ablation's
+//! biased-random runs) and executes the unique frontier on the
 //! work-claiming pool at *run* granularity — so a parallel run is no
 //! longer bounded by the largest single artifact. The unique frontier is
 //! further partitioned into **derivation families** (requests differing
 //! only in LLC policy/seed): one representative per family executes live
 //! with what-if capture on and every sibling's output is derived by
 //! replay, bit-identical by the plan-replay equivalence suite
-//! (`--no-replay` opts out). A
-//! per-invocation plan summary (unique runs, duplicates elided, cache
-//! hits, replays, families) is printed to stderr; CI asserts the elision
-//! count is nonzero and, on the quick merged plan, `replayed > 0`. The
-//! artifacts then render as job-granular pool tasks (`PREM_WORKERS`
-//! overrides the worker count): the plan-based ones as pure cache
-//! traffic, while fig1, fig2 and mei — the only generators still outside
-//! the plan, a few tens of milliseconds together — compute their own runs.
-//! Outputs are collected and written in a fixed order, so the artifacts
-//! are byte-identical to a sequential run.
+//! (`--no-replay` opts out). A per-invocation plan summary (unique runs,
+//! duplicates elided, cache hits, replays, families) is printed to
+//! stderr; CI asserts the elision count is nonzero and, on the quick
+//! merged plan, `replayed > 0`. The artifacts then render as
+//! job-granular pool tasks (`PREM_WORKERS` overrides the worker count):
+//! the plan-based ones as pure cache traffic, while fig1, fig2 and mei —
+//! a few tens of milliseconds together — compute their own runs. Outputs
+//! are collected and written in a fixed order, so the artifacts are
+//! byte-identical to a sequential run.
 //!
 //! The plan executor is backed by the **persistent run cache**
 //! (`results/.runcache/` by default — see `CACHING.md`): every live
@@ -59,279 +62,24 @@
 //! on or off, and with no registry the metered entry points
 //! monomorphize to the no-op null sink.
 
-use std::collections::HashSet;
 use std::path::Path;
 use std::time::Instant;
 
 use prem_harness::{
-    cell_requests, default_workers, parallel_map, run_matrix_metered, write_artifact, ExecFlags,
-    MatrixSpec, PlanExecutor, RunRequest, RunStore, EXEC_FLAGS_HELP,
+    default_workers, parallel_map, write_artifact, ExecFlags, RunStore, EXEC_FLAGS_HELP,
 };
-use prem_kernels::{case_study_bicg, standard_suite, suite_small, Bicg};
 use prem_memsim::KIB;
 use prem_obs::{NullMetrics, Registry, Span};
 use prem_report::{
-    ablation,
-    common::Harness,
-    fig2::fig2,
-    fig3::{fig3_requests, fig3_with, fig5_requests, fig5_with},
-    fig4::{fig4_requests, fig4_with},
-    fig6::{fig6_followup_requests, fig6_requests, fig6_with},
-    fig7::{fig7_requests, fig7_with},
-    interference,
-    mei::mei,
     obs::{obs_counters, obs_table},
-    whatif::{whatif_requests, whatif_with},
+    paper::{self, Artifact, PaperInputs, JOBS},
     Table,
 };
 
-/// One finished artifact: the text rendering (table + optional chart), an
-/// optional CSV body, and a completion log line for stderr.
-struct Artifact {
-    name: String,
-    text: String,
-    csv: Option<String>,
-    log: String,
-}
-
-impl Artifact {
-    fn from_table(name: &str, table: &Table, extra: &str, t0: Instant) -> Self {
-        Artifact {
-            name: name.to_string(),
-            text: format!("{table}\n{extra}"),
-            csv: Some(table.to_csv()),
-            log: format!("[{name} done in {:?}]", t0.elapsed()),
-        }
-    }
-}
-
-/// Inputs shared by every figure job, plus the process-wide run-plan
-/// executor: the plan-based figures render from its cache after the merged
-/// plan has executed, and the matrix shares the same cache when requested.
-struct Ctx {
-    quick: bool,
-    harness: Harness,
-    bicg: Bicg,
-    suite: Vec<Box<dyn prem_kernels::Kernel>>,
-    executor: PlanExecutor,
-}
-
-type Job = (&'static str, &'static str, fn(&Ctx) -> Vec<Artifact>);
-
-/// The paper-figure jobs, in output order, each with the artifact line
-/// shown by `--list` — one table drives both dispatch and listing, so
-/// the two cannot drift. `matrix` and `trace` are handled separately
-/// (see [`EXPLICIT_JOBS`]): they parallelize internally and run only
-/// when named.
-const JOBS: &[Job] = &[
-    (
-        "fig1",
-        "fig1.txt — PREM interval timeline (M/C phases, token exchange)",
-        |ctx| {
-            use prem_core::{run_prem, NoiseModel, PremConfig, SyncConfig};
-            use prem_gpusim::{PlatformConfig, Scenario};
-            use prem_kernels::Kernel;
-            let t0 = Instant::now();
-            let intervals = ctx.bicg.intervals(160 * KIB).expect("tiling");
-            let mut platform = PlatformConfig::tx1().build();
-            let cfg = PremConfig::llc_tamed().with_noise(NoiseModel::tx1());
-            let run =
-                run_prem(&mut platform, &intervals, &cfg, Scenario::Isolation).expect("prem run");
-            let text =
-                prem_report::fig1::timeline(&run, &SyncConfig::tx1(), platform.clock_ghz, 4, 0.4);
-            vec![Artifact {
-                name: "fig1".into(),
-                text,
-                csv: None,
-                log: format!("[fig1 done in {:?}]", t0.elapsed()),
-            }]
-        },
-    ),
-    (
-        "fig2",
-        "fig2.{txt,csv} — SPM vs cache data-movement instruction counts",
-        |ctx| {
-            let t0 = Instant::now();
-            let f = fig2(&ctx.bicg, 160 * KIB);
-            vec![Artifact::from_table("fig2", &f.table(), "", t0)]
-        },
-    ),
-    (
-        "fig3",
-        "fig3.{txt,csv} — bicg breakdown, naive prefetch (R=1)",
-        |ctx| {
-            let t0 = Instant::now();
-            let f = fig3_with(&ctx.bicg, &ctx.harness, &ctx.executor);
-            vec![Artifact::from_table("fig3", &f.table(), &f.chart(), t0)]
-        },
-    ),
-    (
-        "fig4",
-        "fig4.{txt,csv} — CPMR over the (R, T) grid",
-        |ctx| {
-            let t0 = Instant::now();
-            let f = fig4_with(&ctx.bicg, &ctx.harness, &ctx.executor);
-            vec![Artifact::from_table("fig4", &f.table(), "", t0)]
-        },
-    ),
-    (
-        "fig5",
-        "fig5.{txt,csv} — bicg breakdown, tamed prefetch (R=8)",
-        |ctx| {
-            let t0 = Instant::now();
-            let f = fig5_with(&ctx.bicg, &ctx.harness, &ctx.executor);
-            vec![Artifact::from_table("fig5", &f.table(), &f.chart(), t0)]
-        },
-    ),
-    (
-        "fig6",
-        "fig6.{txt,csv} — per-kernel fair co-scheduling comparison",
-        |ctx| {
-            let t0 = Instant::now();
-            let f = fig6_with(&ctx.suite, &ctx.harness, 160, 8, &ctx.executor);
-            vec![Artifact::from_table("fig6", &f.table(), "", t0)]
-        },
-    ),
-    (
-        "fig7",
-        "fig7.{txt,csv} — interference sensitivity vs T",
-        |ctx| {
-            let t0 = Instant::now();
-            let f = fig7_with(&ctx.suite, &ctx.harness, 8, &ctx.executor);
-            vec![Artifact::from_table("fig7", &f.table(), "", t0)]
-        },
-    ),
-    (
-        "whatif",
-        "whatif.{txt,csv} — LLC policy what-if sweep (replay-derived)",
-        |ctx| {
-            let t0 = Instant::now();
-            let w = whatif_with(&ctx.bicg, &ctx.executor);
-            vec![Artifact::from_table("whatif", &w.table(), "", t0)]
-        },
-    ),
-    (
-        "interference",
-        "interference_sweep.{txt,csv} — co-runner count sweep",
-        |ctx| {
-            let t0 = Instant::now();
-            let (t, r, seed, max) = SWEEP;
-            let rows =
-                interference::interference_sweep_with(&ctx.bicg, t, r, seed, max, &ctx.executor);
-            vec![Artifact::from_table(
-                "interference_sweep",
-                &interference::sweep_table(&rows, "bicg", t / KIB, r),
-                "",
-                t0,
-            )]
-        },
-    ),
-    (
-        "mei",
-        "mei.{txt,csv} — biased-random replacement validation",
-        |ctx| {
-            let t0 = Instant::now();
-            let (_, table) = mei(if ctx.quick { 5_000 } else { 50_000 }, 7);
-            vec![Artifact::from_table("mei", &table, "", t0)]
-        },
-    ),
-    (
-        "ablation",
-        "ablation_{policy,msg,adaptive,bias}.{txt,csv} — beyond-paper ablations",
-        |ctx| {
-            // Each ablation gets its own t0 so the log lines report per-artifact
-            // cost, not cumulative elapsed time.
-            let (bicg, harness, x) = (&ctx.bicg, &ctx.harness, &ctx.executor);
-            let t_kib = ABLATION_T / KIB;
-            let t0 = Instant::now();
-            let mut out = Vec::new();
-            let rows = ablation::policy_ablation_with(bicg, harness, ABLATION_T, &ABLATION_RS, x);
-            out.push(Artifact::from_table(
-                "ablation_policy",
-                &ablation::policy_table(&rows, t_kib),
-                "",
-                t0,
-            ));
-            let t0 = Instant::now();
-            let rows =
-                ablation::msg_ablation_with(bicg, harness, MSG_T_SPM, ABLATION_T, &MSG_US, x);
-            out.push(Artifact::from_table(
-                "ablation_msg",
-                &ablation::msg_table(&rows, MSG_T_SPM / KIB, t_kib),
-                "",
-                t0,
-            ));
-            let t0 = Instant::now();
-            let rows = ablation::adaptive_ablation_with(bicg, harness, ABLATION_T, x);
-            out.push(Artifact::from_table(
-                "ablation_adaptive",
-                &ablation::adaptive_table(&rows, t_kib),
-                "",
-                t0,
-            ));
-            let t0 = Instant::now();
-            let rows = ablation::bias_ablation_with(bicg, harness, ABLATION_T, &BIAS_WEIGHTS, x);
-            out.push(Artifact::from_table(
-                "ablation_bias",
-                &ablation::bias_table(&rows, t_kib),
-                "",
-                t0,
-            ));
-            out
-        },
-    ),
-];
-
-// The ablation parameters: one source for the `ablation` job's renders,
-// its merged-plan requests and the `cache gc` live set.
-
-/// The ablations' (LLC) interval size: the paper's best configuration.
-const ABLATION_T: usize = 160 * KIB;
-/// The policy ablation's prefetch repetition factors.
-const ABLATION_RS: [u32; 2] = [1, 8];
-/// The MSG ablation's SPM interval size.
-const MSG_T_SPM: usize = 96 * KIB;
-/// The MSG ablation's sync granularities (µs).
-const MSG_US: [f64; 5] = [5.0, 10.0, 20.0, 50.0, 100.0];
-/// The bias ablation's bad-way victim weights.
-const BIAS_WEIGHTS: [u32; 5] = [1, 2, 3, 5, 9];
-
-/// The runs of all four ablations on `bicg`, as one plan.
-fn ablation_requests<'k>(bicg: &'k Bicg, harness: &Harness) -> Vec<RunRequest<'k>> {
-    let mut reqs = ablation::policy_ablation_requests(bicg, harness, ABLATION_T, &ABLATION_RS);
-    reqs.extend(ablation::msg_ablation_requests(
-        bicg, harness, MSG_T_SPM, ABLATION_T, &MSG_US,
-    ));
-    reqs.extend(ablation::adaptive_ablation_requests(
-        bicg, harness, ABLATION_T,
-    ));
-    reqs.extend(ablation::bias_ablation_requests(
-        bicg,
-        harness,
-        ABLATION_T,
-        &BIAS_WEIGHTS,
-    ));
-    reqs
-}
-
-/// The co-runner sweep's (T, R, seed, max co-runners): 0–6 co-runners per
-/// profile on the context's bicg instance (reduced size under `quick`),
-/// one seed at every scale.
-const SWEEP: (usize, u32, u64, usize) = (160 * KIB, 8, 11, 6);
-
-/// The co-runner sweep's runs on `bicg`, as a plan.
-fn sweep_requests(bicg: &Bicg) -> Vec<RunRequest<'_>> {
-    let (t, r, seed, max) = SWEEP;
-    interference::interference_sweep_requests(bicg, t, r, seed, max)
-}
-
-/// Subcommands dispatched outside [`JOBS`] (explicit-only; they never
-/// run as part of the default full set).
-const EXPLICIT_JOBS: &[(&str, &str)] = &[
-    (
-        "matrix",
-        "matrix.{txt,csv} — scenario matrix (explicit only)",
-    ),
+/// Subcommands outside the [`JOBS`] table: they render from a trace
+/// capture or from this invocation's metrics, not from the plan, and run
+/// only when named.
+const LOCAL_JOBS: &[(&str, &str)] = &[
     (
         "trace",
         "trace_{reuse,heatmap,policy_replay}.{txt,csv} + trace_capture.bin — \
@@ -360,76 +108,12 @@ fn listing() -> String {
     out.push('\n');
     for (name, what) in JOBS
         .iter()
-        .map(|(name, what, _)| (name, what))
-        .chain(EXPLICIT_JOBS.iter().map(|(name, what)| (name, what)))
+        .map(|job| (job.name, job.listing))
+        .chain(LOCAL_JOBS.iter().copied())
     {
         out.push_str(&format!("  {name:<13} {what}\n"));
     }
     out
-}
-
-/// Every canonical key the current artifact set can request — the live
-/// set `cache gc` keeps: both full and quick variants of the plan-based
-/// figures (3/4/5/6/7), the what-if sweep, the ablations, the co-runner
-/// sweep and the scenario matrix, plus fig6's
-/// data-dependent best-T follow-up whenever the store already holds the
-/// complete first wave it derives from (computed through a store-backed
-/// executor, i.e. from cache, never by executing anything).
-fn live_keys(cache_dir: &Path) -> std::io::Result<HashSet<String>> {
-    let mut keys = HashSet::new();
-    for quick in [false, true] {
-        let harness = if quick {
-            Harness::quick()
-        } else {
-            Harness::default()
-        };
-        let bicg = if quick {
-            Bicg::new(512, 512)
-        } else {
-            case_study_bicg()
-        };
-        let suite = if quick {
-            suite_small()
-        } else {
-            standard_suite()
-        };
-        let mut reqs: Vec<RunRequest<'_>> = Vec::new();
-        reqs.extend(fig3_requests(&bicg, &harness));
-        reqs.extend(fig4_requests(&bicg, &harness));
-        reqs.extend(fig5_requests(&bicg, &harness));
-        reqs.extend(fig6_requests(&suite, &harness, 160, 8));
-        reqs.extend(fig7_requests(&suite, &harness, 8));
-        reqs.extend(whatif_requests(&bicg));
-        reqs.extend(ablation_requests(&bicg, &harness));
-        reqs.extend(sweep_requests(&bicg));
-        let fig6_first: Vec<String> = fig6_requests(&suite, &harness, 160, 8)
-            .iter()
-            .map(RunRequest::key)
-            .collect();
-        keys.extend(reqs.iter().map(RunRequest::key));
-        let store = RunStore::open(cache_dir)?;
-        let mut first_wave_cached = true;
-        for key in &fig6_first {
-            if !store.contains(key)? {
-                first_wave_cached = false;
-                break;
-            }
-        }
-        if first_wave_cached && !fig6_first.is_empty() {
-            let executor = PlanExecutor::new().with_store(store);
-            let tail = fig6_followup_requests(&suite, &harness, &executor);
-            keys.extend(tail.iter().map(RunRequest::key));
-        }
-        let spec = if quick {
-            MatrixSpec::quick(suite_small())
-        } else {
-            MatrixSpec::new(standard_suite())
-        };
-        for cell in spec.expand() {
-            keys.extend(cell_requests(&spec, &cell).iter().map(RunRequest::key));
-        }
-    }
-    Ok(keys)
 }
 
 /// Dispatches `figures -- cache <action>`; returns the process exit code.
@@ -468,11 +152,11 @@ fn cache_command(action: Option<&str>, cache_dir: &Path) -> i32 {
             Err(e) => fail(e),
         },
         Some("gc") => {
-            let keep = match live_keys(cache_dir) {
-                Ok(keys) => keys,
-                Err(e) => return fail(e),
-            };
-            match RunStore::open(cache_dir).and_then(|s| s.gc(|key| keep.contains(key))) {
+            let gc = RunStore::open(cache_dir).and_then(|store| {
+                let keep = paper::live_keys(&store)?;
+                store.gc(|key| keep.contains(key))
+            });
+            match gc {
                 Ok(report) => {
                     println!("{report} at {}", cache_dir.display());
                     0
@@ -508,10 +192,7 @@ fn main() {
         .map(String::as_str)
         .filter(|a| *a != "quick" && *a != "all")
         .collect();
-    let known = |a: &str| {
-        JOBS.iter().any(|(name, _, _)| *name == a)
-            || EXPLICIT_JOBS.iter().any(|(name, _)| *name == a)
-    };
+    let known = |a: &str| paper::job(a).is_some() || LOCAL_JOBS.iter().any(|(n, _)| *n == a);
     if let Some(bad) = which.iter().find(|a| !known(a)) {
         eprintln!("figures: unknown subcommand '{bad}'\n\n{}", listing());
         std::process::exit(2);
@@ -519,7 +200,7 @@ fn main() {
     // `all` is the default figure set, spelled out (so `figures -- all
     // quick` is the canonical CI smoke invocation).
     let all = which.is_empty() || args.iter().any(|a| a == "all");
-    let explicit_only = |name: &str| EXPLICIT_JOBS.iter().any(|(n, _)| *n == name);
+    let explicit_only = |name: &str| paper::job(name).is_none_or(|job| job.explicit_only);
     let run = |name: &str| (all && !explicit_only(name)) || which.contains(&name);
     let workers = default_workers();
 
@@ -543,26 +224,7 @@ fn main() {
         );
         std::process::exit(1);
     });
-
-    let ctx = Ctx {
-        quick,
-        harness: if quick {
-            Harness::quick()
-        } else {
-            Harness::default()
-        },
-        bicg: if quick {
-            Bicg::new(512, 512)
-        } else {
-            case_study_bicg()
-        },
-        suite: if quick {
-            suite_small()
-        } else {
-            standard_suite()
-        },
-        executor,
-    };
+    let inputs = PaperInputs::new(quick);
 
     let emit = |artifact: &Artifact| {
         println!("{}", artifact.text);
@@ -576,115 +238,63 @@ fn main() {
                 csv.as_bytes(),
             );
         }
-        eprintln!("{}", artifact.log);
     };
 
     let t0 = Instant::now();
 
-    // Phase 1 — the merged figure plan: every requested plan-based figure
-    // contributes its canonical requests, the executor elides duplicates
-    // (both within and across figures) and executes the unique frontier at
-    // run granularity. fig6's best-T interference tail is data-dependent,
-    // so it is planned as a second wave once the first is cached.
-    let mut merged: Vec<RunRequest<'_>> = Vec::new();
-    if run("fig3") {
-        merged.extend(fig3_requests(&ctx.bicg, &ctx.harness));
+    // Phase 1 — the merged plan: every selected job contributes its
+    // canonical requests, the executor elides duplicates (both within and
+    // across jobs) and executes the unique frontier at run granularity.
+    // Data-dependent tails (fig6's best-T runs) are planned as a second
+    // wave once the first is cached. `obs` rides the what-if plan: small,
+    // yet it exercises the live, replay, family, and (when cached)
+    // disk-hit paths the breakdown reports.
+    let jobs: Vec<&paper::Job> = JOBS.iter().filter(|job| run(job.name)).collect();
+    let mut names: Vec<&str> = jobs.iter().map(|job| job.name).collect();
+    if run("obs") {
+        names.push("whatif");
     }
-    if run("fig4") {
-        merged.extend(fig4_requests(&ctx.bicg, &ctx.harness));
-    }
-    if run("fig5") {
-        merged.extend(fig5_requests(&ctx.bicg, &ctx.harness));
-    }
-    if run("fig6") {
-        merged.extend(fig6_requests(&ctx.suite, &ctx.harness, 160, 8));
-    }
-    if run("fig7") {
-        merged.extend(fig7_requests(&ctx.suite, &ctx.harness, 8));
-    }
-    if run("whatif") || run("obs") {
-        // `obs` rides the what-if plan: small, yet it exercises the live,
-        // replay, family, and (when cached) disk-hit paths the breakdown
-        // reports.
-        merged.extend(whatif_requests(&ctx.bicg));
-    }
-    if run("ablation") {
-        merged.extend(ablation_requests(&ctx.bicg, &ctx.harness));
-    }
-    if run("interference") {
-        merged.extend(sweep_requests(&ctx.bicg));
-    }
+    let merged = paper::plan(&inputs, &names);
     // Metered twin when a registry exists, identical null-sink path
     // otherwise — outputs are byte-identical either way.
-    let execute = |requests: &[RunRequest<'_>]| match registry.as_ref() {
-        Some(reg) => ctx.executor.execute_metered(requests, workers, reg),
-        None => ctx
-            .executor
-            .execute_metered(requests, workers, &NullMetrics),
+    let execute = |requests: &[_]| match registry.as_ref() {
+        Some(reg) => executor.execute_metered(requests, workers, reg),
+        None => executor.execute_metered(requests, workers, &NullMetrics),
     };
     if !merged.is_empty() {
         let tp = Instant::now();
         let summary = execute(&merged);
         eprintln!("[{summary} (merged figure plan, {:?})]", tp.elapsed());
-        if run("fig6") {
-            let tail = fig6_followup_requests(&ctx.suite, &ctx.harness, &ctx.executor);
-            let summary = execute(&tail);
-            eprintln!("[{summary} (fig6 best-T follow-up)]");
+    }
+    for job in &jobs {
+        if let Some(followup) = job.followup {
+            let summary = execute(&followup(&inputs, &executor));
+            eprintln!("[{summary} ({} follow-up)]", job.name);
         }
     }
 
-    // Phase 2 — job-granular artifacts: plan-based artifacts render from
-    // the warm cache; fig1, fig2 and mei compute their own (small) runs.
-    let jobs: Vec<&Job> = JOBS.iter().filter(|(name, _, _)| run(name)).collect();
-    for artifacts in parallel_map(workers, &jobs, |(_, _, job)| {
+    // Phase 2 — job-granular renders: plan-based artifacts are pure cache
+    // traffic; fig1, fig2 and mei compute their own (small) runs.
+    for (job, artifacts, elapsed) in parallel_map(workers, &jobs, |job| {
         let _render = registry
             .as_ref()
             .map(|r| Span::start(r, "figures.render_ns"));
-        job(&ctx)
+        let t = Instant::now();
+        let artifacts = (job.render)(&inputs, &executor);
+        (job.name, artifacts, t.elapsed())
     }) {
-        for artifact in &artifacts {
-            emit(artifact);
-        }
-    }
-
-    if run("matrix") {
-        let tm = Instant::now();
-        let spec = if quick {
-            MatrixSpec::quick(ctx.suite)
-        } else {
-            MatrixSpec::new(ctx.suite)
-        };
-        let result = match registry.as_ref() {
-            Some(reg) => run_matrix_metered(&spec, workers, &ctx.executor, reg),
-            None => run_matrix_metered(&spec, workers, &ctx.executor, &NullMetrics),
-        };
-        emit(&Artifact {
-            name: "matrix".into(),
-            text: result.render(),
-            csv: Some(result.to_csv()),
-            log: format!(
-                "[matrix done in {:?}: {} cells on {workers} worker(s)]",
-                tm.elapsed(),
-                result.cells().len()
-            ),
-        });
+        artifacts.iter().for_each(emit);
+        eprintln!("[{job} done in {elapsed:?}]");
     }
 
     if run("trace") {
         let tt = Instant::now();
-        let art = prem_trace::trace_artifacts(&ctx.bicg, 160 * KIB, 8, 11, workers);
+        let art = prem_trace::trace_artifacts(&inputs.bicg, 160 * KIB, 8, 11, workers);
         write_artifact(outdir.join("trace_capture.bin"), &art.encoded);
-        // One capture+sweep produces all three tables, so there is no
-        // meaningful per-artifact cost to report — the log lines say so
-        // and the summary below carries the job total.
-        let emit_table = |name: &str, table: &Table, extra: &str| {
-            emit(&Artifact {
-                name: name.to_string(),
-                text: format!("{table}\n{extra}"),
-                csv: Some(table.to_csv()),
-                log: format!("[{name} written (one shared trace job, total below)]"),
-            });
-        };
+        // One capture+sweep produces all three tables; the summary line
+        // below carries the job's cost.
+        let emit_table =
+            |name, table: &Table, extra: &str| emit(&Artifact::from_table(name, table, extra));
         emit_table("trace_reuse", &art.reuse, "");
         emit_table("trace_heatmap", &art.heatmap, &art.heatmap_extra);
         emit_table("trace_policy_replay", &art.policy_replay, &art.policy_extra);
@@ -696,17 +306,20 @@ fn main() {
         );
     }
     // The obs artifact renders last so it sees every phase recorded
-    // above (merged plan, renders, matrix); the snapshot is read-only,
-    // so the breakdown can never perturb the artifacts it reports on.
+    // above (merged plan, renders); the snapshot is read-only, so the
+    // breakdown can never perturb the artifacts it reports on.
     if run("obs") {
-        let t0 = Instant::now();
+        let t = Instant::now();
         let snap = registry
             .as_ref()
             .expect("obs implies a registry")
             .snapshot();
-        let table = obs_table(&snap);
-        let extra = obs_counters(&snap);
-        emit(&Artifact::from_table("obs", &table, &extra, t0));
+        emit(&Artifact::from_table(
+            "obs",
+            &obs_table(&snap),
+            &obs_counters(&snap),
+        ));
+        eprintln!("[obs done in {:?}]", t.elapsed());
     }
 
     if flags.metrics_enabled() {
@@ -723,6 +336,6 @@ fn main() {
     eprintln!(
         "[all artifacts done in {:?} on {workers} worker(s); cumulative {}]",
         t0.elapsed(),
-        ctx.executor.summary()
+        executor.summary()
     );
 }

@@ -61,9 +61,7 @@ pub use artifact::write_artifact;
 pub use flags::{ExecFlags, EXEC_FLAGS_HELP};
 pub use plan::{PlanExecutor, PlanSummary, PlatformSpec, RunRequest, RunSource};
 pub use pool::{default_workers, parallel_map};
-pub use run::{
-    cell_requests, run_cell_with, run_matrix, run_matrix_metered, run_matrix_with, CellResult,
-};
+pub use run::{matrix_requests, matrix_with, run_cell_with, run_matrix, CellResult};
 pub use spec::{
     scenario_name, CellSpec, CorunnerMix, MatrixPlatform, MatrixPolicy, MatrixScenario, MatrixSpec,
 };

@@ -50,8 +50,8 @@
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::ops::AddAssign;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 use prem_core::{
@@ -524,15 +524,9 @@ pub struct PlanExecutor {
     /// units at expansion time and filled through [`with_profile_memo`];
     /// filled cells persist for every later plan.
     profiles: Mutex<HashMap<String, ProfileCell>>,
-    requested: AtomicUsize,
-    executed: AtomicUsize,
-    elided: AtomicUsize,
-    hits: AtomicUsize,
-    disk_hits: AtomicUsize,
-    replayed: AtomicUsize,
-    families: AtomicUsize,
-    profile_hits: AtomicUsize,
-    profile_misses: AtomicUsize,
+    /// Cumulative counters: each [`PlanExecutor::execute_metered`] call
+    /// adds its summary once; a lazy [`RunSource::output`] bumps fields.
+    totals: Mutex<PlanSummary>,
 }
 
 impl Default for PlanExecutor {
@@ -550,15 +544,7 @@ impl PlanExecutor {
             replay: true,
             profile_memo: true,
             profiles: Mutex::new(HashMap::new()),
-            requested: AtomicUsize::new(0),
-            executed: AtomicUsize::new(0),
-            elided: AtomicUsize::new(0),
-            hits: AtomicUsize::new(0),
-            disk_hits: AtomicUsize::new(0),
-            replayed: AtomicUsize::new(0),
-            families: AtomicUsize::new(0),
-            profile_hits: AtomicUsize::new(0),
-            profile_misses: AtomicUsize::new(0),
+            totals: Mutex::new(PlanSummary::default()),
         }
     }
 
@@ -855,19 +841,7 @@ impl PlanExecutor {
         for ((key, _), output) in frontier.into_iter().zip(outputs) {
             self.insert(key, output);
         }
-        self.requested
-            .fetch_add(summary.requested, Ordering::Relaxed);
-        self.executed.fetch_add(summary.executed, Ordering::Relaxed);
-        self.elided.fetch_add(summary.elided, Ordering::Relaxed);
-        self.hits.fetch_add(summary.hits, Ordering::Relaxed);
-        self.disk_hits
-            .fetch_add(summary.disk_hits, Ordering::Relaxed);
-        self.replayed.fetch_add(summary.replayed, Ordering::Relaxed);
-        self.families.fetch_add(summary.families, Ordering::Relaxed);
-        self.profile_hits
-            .fetch_add(summary.profile_hits, Ordering::Relaxed);
-        self.profile_misses
-            .fetch_add(summary.profile_misses, Ordering::Relaxed);
+        *self.totals() += &summary;
         // Counters are added unconditionally — a zero delta still
         // materializes the key, so a fully warm snapshot reports
         // `plan.live_runs=0` instead of omitting it (the CI warm gate
@@ -954,23 +928,17 @@ impl PlanExecutor {
     /// Cumulative counters over the executor's lifetime, including lazy
     /// [`RunSource::output`] executions and hits.
     pub fn summary(&self) -> PlanSummary {
-        PlanSummary {
-            requested: self.requested.load(Ordering::Relaxed),
-            executed: self.executed.load(Ordering::Relaxed),
-            elided: self.elided.load(Ordering::Relaxed),
-            hits: self.hits.load(Ordering::Relaxed),
-            disk_hits: self.disk_hits.load(Ordering::Relaxed),
-            replayed: self.replayed.load(Ordering::Relaxed),
-            families: self.families.load(Ordering::Relaxed),
-            profile_hits: self.profile_hits.load(Ordering::Relaxed),
-            profile_misses: self.profile_misses.load(Ordering::Relaxed),
-        }
+        *self.totals()
     }
 
     /// Total simulator executions this executor has performed (the
     /// execution-count probe the dedup tests assert on).
     pub fn executed_runs(&self) -> usize {
-        self.executed.load(Ordering::Relaxed)
+        self.totals().executed
+    }
+
+    fn totals(&self) -> MutexGuard<'_, PlanSummary> {
+        self.totals.lock().expect("plan counters poisoned")
     }
 
     /// Number of distinct outputs currently cached.
@@ -992,13 +960,16 @@ impl RunSource for PlanExecutor {
     fn output(&self, req: &RunRequest<'_>) -> RunOutput {
         let key = req.key();
         if let Some(out) = self.lookup(&key) {
-            self.requested.fetch_add(1, Ordering::Relaxed);
-            self.hits.fetch_add(1, Ordering::Relaxed);
+            let mut totals = self.totals();
+            totals.requested += 1;
+            totals.hits += 1;
             return out;
         }
         if let Some(out) = self.disk_lookup(&key, &NullMetrics) {
-            self.requested.fetch_add(1, Ordering::Relaxed);
-            self.disk_hits.fetch_add(1, Ordering::Relaxed);
+            let mut totals = self.totals();
+            totals.requested += 1;
+            totals.disk_hits += 1;
+            drop(totals);
             self.insert(key, out.clone());
             return out;
         }
@@ -1006,17 +977,20 @@ impl RunSource for PlanExecutor {
         // data-dependent tail (e.g. a best-T follow-up re-running a
         // scenario sibling) still skips the pass.
         let cell = self.profile_cell(req).map(|(cell, hit)| {
-            let counter = if hit {
-                &self.profile_hits
+            let mut totals = self.totals();
+            if hit {
+                totals.profile_hits += 1;
             } else {
-                &self.profile_misses
-            };
-            counter.fetch_add(1, Ordering::Relaxed);
+                totals.profile_misses += 1;
+            }
             cell
         });
         let out = with_profile_memo(cell.as_ref(), |p| req.run(p));
-        self.requested.fetch_add(1, Ordering::Relaxed);
-        self.executed.fetch_add(1, Ordering::Relaxed);
+        {
+            let mut totals = self.totals();
+            totals.requested += 1;
+            totals.executed += 1;
+        }
         self.persist([(key.as_str(), &out)], &NullMetrics);
         self.insert(key, out.clone());
         out

@@ -2,10 +2,12 @@
 //!
 //! Since the run-plan refactor a cell is *two* canonical
 //! [`RunRequest`]s — the LLC-PREM run and the unprotected baseline under
-//! the same coordinates — and [`run_matrix`] submits all of them to a
-//! [`PlanExecutor`] as one plan. Execution therefore happens at **run**
-//! granularity (twice the parallelism grain of the old per-cell map) and
-//! any run another artifact already executed is served from the cache.
+//! the same coordinates — and [`run_matrix`] submits all of them
+//! ([`matrix_requests`]) to a [`PlanExecutor`] as one plan. Execution
+//! therefore happens at **run** granularity (twice the parallelism grain
+//! of the old per-cell map). A caller merging the matrix into a larger
+//! plan renders it with [`matrix_with`], so any run another artifact
+//! already executed is served from the cache.
 
 use prem_core::{BaselineRun, PremRun, RunWork};
 
@@ -42,7 +44,7 @@ pub struct CellResult {
 /// The actors draw all their randomness from the cell's derived seed, so
 /// co-runner traffic is as worker-count-independent as the rest of the
 /// cell.
-pub fn cell_requests<'s>(spec: &'s MatrixSpec, cell: &CellSpec) -> [RunRequest<'s>; 2] {
+fn cell_requests<'s>(spec: &'s MatrixSpec, cell: &CellSpec) -> [RunRequest<'s>; 2] {
     let plat = &spec.platforms[cell.platform];
     let prem = RunRequest {
         kernel: spec.kernels[cell.kernel].as_ref(),
@@ -91,6 +93,27 @@ pub fn run_cell_with(spec: &MatrixSpec, cell: &CellSpec, source: &impl RunSource
     )
 }
 
+/// Every cell's two runs, in expansion order, as one plan (2 × cells
+/// requests) — what [`run_matrix`] executes and what a caller merges into
+/// a larger plan before rendering with [`matrix_with`].
+pub fn matrix_requests(spec: &MatrixSpec) -> Vec<RunRequest<'_>> {
+    spec.expand()
+        .iter()
+        .flat_map(|cell| cell_requests(spec, cell))
+        .collect()
+}
+
+/// The matrix result rendered from `source`, cell by cell in expansion
+/// order.
+pub fn matrix_with(spec: &MatrixSpec, source: &impl RunSource) -> MatrixResult {
+    let results = spec
+        .expand()
+        .iter()
+        .map(|cell| run_cell_with(spec, cell, source))
+        .collect();
+    MatrixResult::new(spec, results)
+}
+
 /// Expands `spec` and executes every cell's runs as **one deduplicated
 /// plan** on `workers` threads (run granularity: 2 × cells tasks).
 ///
@@ -98,35 +121,9 @@ pub fn run_cell_with(spec: &MatrixSpec, cell: &CellSpec, source: &impl RunSource
 /// stable coordinate hashes and results are collected in expansion order,
 /// so any worker count produces byte-identical artifacts.
 pub fn run_matrix(spec: &MatrixSpec, workers: usize) -> MatrixResult {
-    run_matrix_with(spec, workers, &PlanExecutor::new())
-}
-
-/// [`run_matrix`] against a caller-owned executor, so a matrix can share
-/// its run cache with other artifacts in the same process.
-pub fn run_matrix_with(spec: &MatrixSpec, workers: usize, executor: &PlanExecutor) -> MatrixResult {
-    run_matrix_metered(spec, workers, executor, &prem_obs::NullMetrics)
-}
-
-/// [`run_matrix_with`] recording through `metrics` (the `--metrics`
-/// path of the `figures` matrix subcommand). The result is identical to
-/// the unmetered call — metrics observe execution, never steer it.
-pub fn run_matrix_metered<M: prem_obs::MetricsSink>(
-    spec: &MatrixSpec,
-    workers: usize,
-    executor: &PlanExecutor,
-    metrics: &M,
-) -> MatrixResult {
-    let cells = spec.expand();
-    let requests: Vec<RunRequest<'_>> = cells
-        .iter()
-        .flat_map(|cell| cell_requests(spec, cell))
-        .collect();
-    executor.execute_metered(&requests, workers, metrics);
-    let results = cells
-        .iter()
-        .map(|cell| run_cell_with(spec, cell, executor))
-        .collect();
-    MatrixResult::new(spec, results)
+    let executor = PlanExecutor::new();
+    executor.execute(&matrix_requests(spec), workers);
+    matrix_with(spec, &executor)
 }
 
 #[cfg(test)]

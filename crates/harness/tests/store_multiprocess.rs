@@ -1,10 +1,12 @@
 //! Two-process shared-store smoke test.
 //!
 //! The store's multi-process story — per-shard advisory file locks, and
-//! append as re-read + merge + atomic rename — is exercised for real
-//! here: the test re-invokes its own test binary twice concurrently
-//! (filtered to [`writer_role`], activated by the `PREM_STORE_WRITER`
-//! env var), each child appending into one shared store directory. Both
+//! append as reload-if-stale + merge + in-place write of only the new
+//! records and the header's count (a shard's first segment is written
+//! whole and atomically renamed) — is exercised for real here: the test
+//! re-invokes its own test binary twice concurrently (filtered to
+//! [`writer_role`], activated by the `PREM_STORE_WRITER` env var), each
+//! child appending into one shared store directory. Both
 //! children write the *same* deterministic run under a shared key (the
 //! raced-duplicate path: identical bytes must merge silently) plus one
 //! private key each; the parent then verifies every record landed and

@@ -18,6 +18,9 @@
 //!   the plan layer's replay-backed derivation families (beyond the paper)
 //! * [`obs`] — phase-timing breakdown of one invocation, rendered from a
 //!   `prem-obs` metrics snapshot (beyond the paper)
+//! * [`paper`] — the artifact set itself: one job table naming every
+//!   artifact's parameters, plan builder and renderer, from which the
+//!   `figures` binary, `cache gc`'s live set and the goldens all derive
 //!
 //! The simulator-heavy figures (3/4/5/6/7) and the what-if sweep are
 //! **plan builders + renderers**: a `*_requests` function enumerates the
@@ -26,7 +29,8 @@
 //! [`RunSource`](prem_harness::RunSource). A standalone figure renders
 //! from a fresh [`PlanExecutor`](prem_harness::PlanExecutor); the
 //! `figures` binary merges all requested figures into one deduplicated
-//! plan on a shared executor, so cross-figure duplicates execute once.
+//! plan on a shared executor ([`paper::plan`]), so cross-figure
+//! duplicates execute once.
 
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -43,6 +47,7 @@ pub mod fig7;
 pub mod interference;
 pub mod mei;
 pub mod obs;
+pub mod paper;
 pub mod whatif;
 // Tables and seed statistics moved down into `prem-table` (the run-plan
 // layer renders matrix artifacts with them too); re-exported here so every

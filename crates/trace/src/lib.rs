@@ -20,10 +20,10 @@
 //!   per-interval self-eviction attribution ([`self_eviction_timeline`]).
 //! * **A trace-driven replay engine** — [`replay_captured`] reproduces the
 //!   live run's [`prem_memsim::CacheStats`] **field-for-field** from the
-//!   captured stream, and [`policy_sweep`] fans any
-//!   `CacheConfig` × `Policy` what-if across the scenario-matrix thread
-//!   pool at a fraction of a re-execution's cost (demonstrated by the
-//!   `figures -- trace` artifact).
+//!   captured stream, and [`CompiledStream`] replays any
+//!   `CacheConfig` × `Policy` what-if at a fraction of a re-execution's
+//!   cost (the `figures -- trace` artifact fans a policy × seed grid of
+//!   such replays across the scenario-matrix thread pool).
 //!
 //! ```
 //! use prem_gpusim::Scenario;
@@ -59,6 +59,5 @@ pub use capture::{capture_llc, capture_prem, CaptureSink};
 pub use event::TraceEvent;
 pub use format::{Trace, TraceHeader, TraceReader, TraceWriter, MAGIC, MAX_LABEL_BYTES, VERSION};
 pub use replay::{
-    default_policy_axis, policy_sweep, replay_captured, replay_events, replay_with_policy,
-    CompiledStream, PolicyReplay,
+    default_policy_axis, replay_captured, replay_events, replay_with_policy, CompiledStream,
 };

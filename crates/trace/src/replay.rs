@@ -13,10 +13,10 @@
 //! The payoff is the fan-out: any [`CacheConfig`] × [`Policy`] what-if
 //! over the same access stream is a replay instead of a re-execution —
 //! no profiling pass, no cost model, no budget machinery — which is what
-//! makes wide policy sweeps cheap ([`policy_sweep`] runs them on the
-//! scenario-matrix thread pool).
+//! makes wide policy sweeps cheap ([`CompiledStream`] compiles a stream
+//! once and replays it per policy and seed; the `figures -- trace`
+//! artifact fans that grid out on the scenario-matrix thread pool).
 
-use prem_harness::parallel_map;
 use prem_memsim::{Cache, CacheConfig, CacheStats, LineAddr, Policy};
 
 use crate::event::{kind_code, kind_from_code, phase_code, phase_from_code, TraceEvent};
@@ -192,33 +192,6 @@ impl std::hash::Hasher for LineHasher {
     }
 }
 
-/// One result of a policy fan-out.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PolicyReplay {
-    /// Short policy name (as in reports).
-    pub name: String,
-    /// Replayed statistics.
-    pub stats: CacheStats,
-}
-
-/// Fans one captured stream out across `policies` on the scenario-matrix
-/// thread pool, returning results in input order (deterministic at any
-/// worker count, like every pool user). Compiles the stream once and
-/// replays it through the [`CompiledStream`] fast path under the captured
-/// seed.
-pub fn policy_sweep(
-    trace: &Trace,
-    policies: &[(String, Policy)],
-    workers: usize,
-) -> Vec<PolicyReplay> {
-    let compiled = CompiledStream::compile(trace);
-    let seed = trace.header.cache.seed_value();
-    parallel_map(workers, policies, |(name, policy)| PolicyReplay {
-        name: name.clone(),
-        stats: compiled.replay(policy.clone(), seed),
-    })
-}
-
 /// The default policy axis for replay sweeps on a `ways`-way cache: the
 /// vendor biased-random policy plus every deterministic and randomized
 /// alternative the simulator models.
@@ -340,28 +313,5 @@ mod tests {
         let (run, trace) = capture_llc(&Bicg::new(128, 128), 32 * KIB, 4, 47, Scenario::Isolation);
         let decoded = Trace::decode(&trace.encode()).expect("decode");
         assert_eq!(replay_captured(&decoded), run.llc);
-    }
-
-    #[test]
-    fn policy_sweep_is_deterministic_and_ordered() {
-        // Large enough that the footprint overflows the 256 KiB TX1 LLC,
-        // so eviction behavior — where policies differ — is exercised.
-        let (_, trace) = capture_llc(&Bicg::new(320, 320), 32 * KIB, 2, 11, Scenario::Isolation);
-        let axis = default_policy_axis(trace.header.cache.ways());
-        let one = policy_sweep(&trace, &axis, 1);
-        let many = policy_sweep(&trace, &axis, 4);
-        assert_eq!(one, many);
-        assert_eq!(
-            one.iter().map(|r| r.name.as_str()).collect::<Vec<_>>(),
-            axis.iter().map(|(n, _)| n.as_str()).collect::<Vec<_>>()
-        );
-        // LRU never self-evicts more than the biased policy on a stream
-        // the paper's prefetch discipline already tamed; at minimum the
-        // sweep must produce differing stats for differing policies
-        // somewhere, proving the axis is actually exercised.
-        assert!(
-            one.iter().any(|r| r.stats != one[0].stats),
-            "all policies produced identical stats — sweep is vacuous"
-        );
     }
 }
